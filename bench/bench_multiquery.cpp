@@ -1,4 +1,4 @@
-// Cross-query shared-frontier batching — the throughput-mode matrix bench
+// Cross-query batching — the throughput-mode matrix bench
 // (docs/architecture.md "Throughput execution").
 //
 // The paper's timed workloads are streams and matrices of queries, not

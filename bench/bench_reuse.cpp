@@ -12,12 +12,12 @@
 // CI as BENCH_reuse.json; `warm_speedup` is the one-to-all geometric mean
 // over the networks and is expected to stay >= 1.1.
 //
-// Unlike the other benches this one defaults to the *bucket* queue policy
-// (override with --queue): it is the measured-fastest SPCS configuration
-// (docs/queues.md), i.e. the one a server would actually deploy, and the
-// faster the query the larger the share the cold path wastes on
-// construction. Dense bus networks bound the win from below (~1.08x: the
-// search dwarfs the scratch fill); sparse rail networks sit at 1.14-1.3x.
+// Both paths run the served configuration — QuerySession's default engine
+// types (the bucket queue for SPCS, docs/queues.md), i.e. what a server
+// actually deploys; --queue does not apply here. The faster the query, the
+// larger the share the cold path wastes on construction. Dense bus
+// networks bound the win from below (~1.08x: the search dwarfs the scratch
+// fill); sparse rail networks sit at 1.14-1.3x.
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -44,7 +44,6 @@ struct ReuseRow {
   double time_speedup() const { return cold_time_ms / warm_time_ms; }
 };
 
-template <typename SpcsQueue, typename TimeQueue>
 ReuseRow run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
@@ -70,7 +69,7 @@ ReuseRow run_network(gen::Preset preset) {
   // scratch to its high-water mark, then the measured stream is pure
   // steady-state — exactly what a server's worker thread sees.
   {
-    QuerySessionT<SpcsQueue, TimeQueue> session(net.tt, net.graph, opt);
+    QuerySession session(net.tt, net.graph, opt);
     for (StationId s : sources) session.one_to_all(s);
     Timer t;
     for (int r = 0; r < profile_reps; ++r) {
@@ -94,7 +93,7 @@ ReuseRow run_network(gen::Preset preset) {
     Timer t;
     for (int r = 0; r < profile_reps; ++r) {
       for (StationId s : sources) {
-        ParallelSpcsT<SpcsQueue> engine(net.tt, net.graph, opt.spcs());
+        ParallelSpcs engine(net.tt, net.graph, opt.spcs());
         engine.one_to_all(s);
       }
     }
@@ -102,7 +101,7 @@ ReuseRow run_network(gen::Preset preset) {
     Timer t2;
     for (int r = 0; r < time_reps; ++r) {
       for (StationId s : sources) {
-        TimeQueryT<TimeQueue> q(net.tt, net.graph);
+        TimeQuery q(net.tt, net.graph);
         q.run(s, dep, sources.front());
       }
     }
@@ -119,7 +118,7 @@ ReuseRow run_network(gen::Preset preset) {
   return row;
 }
 
-std::string to_json(const std::vector<ReuseRow>& rows, QueueKind queue) {
+std::string to_json(const std::vector<ReuseRow>& rows) {
   std::vector<double> speedups;
   double best = 0.0;
   for (const ReuseRow& r : rows) {
@@ -128,7 +127,6 @@ std::string to_json(const std::vector<ReuseRow>& rows, QueueKind queue) {
   }
 
   JsonWriter w = bench_json_doc("bench_reuse", "table1-one-to-all warm-vs-cold");
-  w.field("queue", queue_kind_name(queue));
   w.key("networks").begin_array();
   for (const ReuseRow& r : rows) {
     w.begin_object()
@@ -155,12 +153,11 @@ std::string to_json(const std::vector<ReuseRow>& rows, QueueKind queue) {
 int main(int argc, char** argv) {
   using namespace pconn;
   using namespace pconn::bench;
-  options().queue = QueueKind::kBucket;  // deploy config; --queue overrides
   parse_bench_args(argc, argv);
 
   std::cout << "Workspace reuse: warm QuerySession vs cold per-query engine "
-               "construction\n(queue policy: "
-            << queue_kind_name(options().queue) << ")\n";
+               "construction\n(served configuration: QuerySession "
+               "defaults)\n";
 
   std::vector<gen::Preset> presets;
   if (options().smoke) {
@@ -170,19 +167,8 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ReuseRow> rows;
-  for (gen::Preset p : presets) {
-    rows.push_back(with_spcs_queue(options().queue, [&](auto tag) {
-      using SpcsQueue = typename decltype(tag)::type;
-      // Scalar engines mirror the SPCS policy choice: bucket with bucket,
-      // the binary heap otherwise.
-      if constexpr (std::is_same_v<SpcsQueue, SpcsBucketQueue>) {
-        return run_network<SpcsQueue, TimeBucketQueue>(p);
-      } else {
-        return run_network<SpcsQueue, TimeBinaryQueue>(p);
-      }
-    }));
-  }
+  for (gen::Preset p : presets) rows.push_back(run_network(p));
 
-  if (options().json) emit_json(to_json(rows, options().queue));
+  if (options().json) emit_json(to_json(rows));
   return 0;
 }

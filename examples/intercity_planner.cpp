@@ -50,11 +50,11 @@ int main() {
   QuerySessionOptions so;
   so.threads = 2;
   QuerySession fast_session(tt, graph, so);
-  S2sQueryEngineT<SpcsBinaryQueue>& fast = fast_session.s2s_engine(sg, &dt);
+  S2sQueryEngine& fast = fast_session.s2s_engine(sg, &dt);
   QuerySessionOptions plain_opts = so;
   plain_opts.table_pruning = false;
   QuerySession plain_session(tt, graph, plain_opts);
-  S2sQueryEngineT<SpcsBinaryQueue>& plain = plain_session.s2s_engine(sg, nullptr);
+  S2sQueryEngine& plain = plain_session.s2s_engine(sg, nullptr);
 
   // A regional stop near hub 0 to a regional stop near hub 5: crosses the
   // country, so the query is global and the table prunes hard.

@@ -15,9 +15,9 @@ namespace pconn {
 
 /// Template over the SPCS queue policy of the underlying reverse-run
 /// driver (queue_policy.hpp); definitions in all_to_one.cpp instantiate
-/// the four shipped policies. `AllToOneProfiles` is the paper's
-/// binary-heap configuration.
-template <typename Queue = SpcsBinaryQueue>
+/// the two shipped policies. `AllToOneProfiles` is the served
+/// bucket-queue configuration.
+template <typename Queue = SpcsBucketQueue>
 class AllToOneProfilesT {
  public:
   /// Builds the reversed timetable and graph once; queries reuse them.

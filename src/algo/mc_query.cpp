@@ -41,6 +41,8 @@ void McTimeQueryT<Queue>::run(StationId source, Time departure,
   queue_.clear();
 
   const NodeId src = g_.station_node(source);
+  const std::uint32_t batch_from =
+      batch_fanout_threshold(relax_.mode, relax_.batch_min_edges);
   queue_.push(src, mc_key(departure, 0));
   stats_.pushed++;
 
@@ -68,9 +70,7 @@ void McTimeQueryT<Queue>::run(StationId source, Time departure,
     const std::uint32_t* const words = g_.words_data();
     const bool from_station = g_.is_station_node(node);
 
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         g_.ttf_out_degree(node) >= relax_.batch_min_edges)) {
+    if (g_.ttf_out_degree(node) >= batch_from) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) min_boards_.prefetch(heads[ei + 1]);
@@ -126,11 +126,8 @@ std::span<const McLabel> McTimeQueryT<Queue>::pareto(StationId s) const {
   return {f.data(), f.size()};
 }
 
-// The shipped multi-label policies (queue_policy.hpp). McLazyQueue is the
-// same type as McQuaternaryQueue, so two instantiations cover the three
-// heap names.
+// The shipped multi-label policies (queue_policy.hpp).
 template class McTimeQueryT<McBinaryQueue>;
-template class McTimeQueryT<McQuaternaryQueue>;
 template class McTimeQueryT<McBucketQueue>;
 
 }  // namespace pconn

@@ -23,8 +23,6 @@ MultiQueryTimeEngineT<Queue>::MultiQueryTimeEngineT(const Timetable& tt,
     : tt_(tt),
       g_(g),
       ws_(ws),
-      active_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))),
-      frontier_(scratch_alloc(ws)),
       batch_(scratch_alloc(ws)),
       stop_flags_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))) {}
 
@@ -60,39 +58,11 @@ void MultiQueryTimeEngineT<Queue>::ensure_lanes(std::size_t k) {
 }
 
 template <typename Queue>
-void MultiQueryTimeEngineT<Queue>::pop_step(Lane& lane) {
-  // One settle, exactly the per-query protocol: drain stale entries, stop
-  // the lane on heap exhaustion or on settling its target station.
-  for (;;) {
-    if (lane.heap.empty()) {
-      lane.done = true;
-      return;
-    }
-    auto [v, key] = lane.heap.pop();
-    if constexpr (!Queue::kAddressable) {
-      if (key > lane.dist.get(v)) {
-        lane.stats.stale_popped++;
-        continue;
-      }
-    }
-    lane.stats.settled++;
-    if (lane.target_node != kInvalidNode && v == lane.target_node) {
-      lane.done = true;
-      return;
-    }
-    lane.settled_node = v;
-    lane.key = key;
-    return;
-  }
-}
-
-template <typename Queue>
 void MultiQueryTimeEngineT<Queue>::run_lane(Lane& lane) {
   // The per-query engine's fused settle loop (time_query.cpp), verbatim
   // over this lane's sharded label pool. Hoisting the lane fields into
   // locals and keeping pop + relax in one frame restores the per-query
-  // loop's codegen — the outlined pop_step/settle_* steps (kept for the
-  // kBatchAlways rounds, which need the split) cost ~6-10% here, which is
+  // loop's codegen — outlined per-settle steps cost ~6-10% here, which is
   // exactly the flat station-table regression BENCH_multiquery gates.
   auto& heap = lane.heap;
   auto& dist = lane.dist;
@@ -100,7 +70,8 @@ void MultiQueryTimeEngineT<Queue>::run_lane(Lane& lane) {
   QueryStats& st = lane.stats;
   const NodeId src = lane.src;
   const NodeId target = lane.target_node;
-  const bool batch = relax_.mode != RelaxMode::kInterleaved;
+  const std::uint32_t batch_from =
+      batch_fanout_threshold(relax_.mode, relax_.batch_min_edges);
   const bool track = track_parents_;
   const std::uint8_t* const stop_flags =
       lane.targets_left != 0 ? stop_flags_.data() : nullptr;
@@ -145,7 +116,7 @@ void MultiQueryTimeEngineT<Queue>::run_lane(Lane& lane) {
       }
     };
 
-    if (batch && g_.ttf_out_degree(v) >= relax_.batch_min_edges) {
+    if (g_.ttf_out_degree(v) >= batch_from) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) dist.prefetch(heads[ei + 1]);
@@ -184,57 +155,6 @@ void MultiQueryTimeEngineT<Queue>::run_lane(Lane& lane) {
       }
     }
   }
-  lane.done = true;
-}
-
-template <typename Queue>
-void MultiQueryTimeEngineT<Queue>::gather(Lane& lane) {
-  lane.seg_begin = static_cast<std::uint32_t>(frontier_.size());
-  const NodeId v = lane.settled_node;
-  const Time key = lane.key;
-  const std::uint32_t eb = g_.edge_begin(v);
-  const std::uint32_t ee = g_.edge_end(v);
-  const NodeId* const heads = g_.heads_data();
-  const std::uint32_t* const words = g_.words_data();
-  for (std::uint32_t ei = eb; ei < ee; ++ei) {
-    if (ei + 1 < ee) lane.dist.prefetch(heads[ei + 1]);
-    const NodeId head = heads[ei];
-    if (lane.dist.get(head) <= key) continue;  // t >= key >= dist: hopeless
-    std::uint32_t w = words[ei];
-    // No transfer penalty for the very first boarding at the source:
-    // rewrite to a zero-weight constant word before evaluation.
-    if (v == lane.src && TdGraph::word_is_const(w)) w = TdGraph::kConstFlag;
-    frontier_.push(w, key, head);
-  }
-  lane.seg_end = static_cast<std::uint32_t>(frontier_.size());
-}
-
-template <typename Queue>
-void MultiQueryTimeEngineT<Queue>::commit(Lane& lane) {
-  // The per-query batch commit pass, verbatim: edge order within the lane,
-  // dist bound re-tested (earlier commits of this very round may have
-  // lowered it), unreachable evaluations skipped before accounting.
-  for (std::uint32_t slot = lane.seg_begin; slot < lane.seg_end; ++slot) {
-    const NodeId head = frontier_.head(slot);
-    if (lane.dist.get(head) <= lane.key) continue;  // dropped by this round
-    const Time t = frontier_.out(slot);
-    if (t == kInfTime) continue;
-    lane.stats.relaxed++;
-    if (t < lane.dist.get(head)) {
-      if constexpr (Queue::kAddressable) {
-        if (lane.heap.push_or_decrease(head, t) == QueuePush::kPushed) {
-          lane.stats.pushed++;
-        } else {
-          lane.stats.decreased++;
-        }
-      } else {
-        lane.heap.push(head, t);
-        lane.stats.pushed++;
-      }
-      lane.dist.set(head, t);
-      if (track_parents_) lane.parent.set(head, lane.settled_node);
-    }
-  }
 }
 
 template <typename Queue>
@@ -243,16 +163,11 @@ void MultiQueryTimeEngineT<Queue>::run(std::span<const BatchQuery> queries) {
   num_queries_ = queries.size();
   ensure_lanes(queries.size());
 
-  // Lanes advance in tiles of kLaneTile run to completion one after the
-  // other: a whole batch in lockstep round-robins every lane's labels and
-  // heap through the cache each round, which on low-fan networks costs
-  // more than the shared kernels recover. A tile keeps the round working
-  // set cache-sized; lanes are independent, so results are unchanged.
-  const bool lockstep = relax_.mode == RelaxMode::kBatchAlways;
-  for (std::size_t tb = 0; tb < queries.size(); tb += kLaneTile) {
-  const std::size_t te = std::min(tb + kLaneTile, queries.size());
-  active_.clear();
-  for (std::size_t qi = tb; qi < te; ++qi) {
+  // Lanes share no relax state, so each runs to completion with per-query
+  // cache locality through the fused run_lane() loop. Wide fans still
+  // reach the batch kernels — a fan shares its lane's pop key, so the
+  // single-entry-time call is already the cheapest shape (see the header).
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     Lane& lane = *lanes_[qi];
     const BatchQuery& q = queries[qi];
     assert(q.source < tt_.num_stations());
@@ -265,54 +180,15 @@ void MultiQueryTimeEngineT<Queue>::run(std::span<const BatchQuery> queries) {
                            ? kInvalidNode
                            : g_.station_node(q.target);
     lane.targets_left = stop_count_;
-    lane.done = false;
     lane.dist.set(lane.src, q.departure);
     lane.heap.push(lane.src, q.departure);
     lane.stats.pushed++;
-    active_.push_back(static_cast<std::uint32_t>(qi));
+    run_lane(lane);
+    lane.heap.clear();
   }
-
-  if (!lockstep) {
-    // Outside the shared-frontier mode the lanes share no relax state, so
-    // each runs to completion with per-query cache locality through the
-    // fused run_lane() loop. Wide fans still reach the batch kernels — a
-    // fan shares its lane's pop key, so the single-entry-time call is
-    // already the cheapest shape (see the header).
-    for (const std::uint32_t qi : active_) run_lane(*lanes_[qi]);
-    continue;
-  }
-
-  while (!active_.empty()) {
-    frontier_.clear();
-    for (const std::uint32_t qi : active_) {
-      Lane& lane = *lanes_[qi];
-      pop_step(lane);
-      if (lane.done) continue;
-      // kBatchAlways: every settled fan joins the cross-lane shared
-      // frontier; eval groups slots by TTF word across lanes (see the
-      // header for when that shape wins).
-      gather(lane);
-    }
-    if (frontier_.size() != 0) {
-      frontier_.eval(g_.ttfs(), batch_stats_);
-      for (const std::uint32_t qi : active_) {
-        Lane& lane = *lanes_[qi];
-        if (!lane.done) commit(lane);
-      }
-    }
-    std::size_t w = 0;
-    for (const std::uint32_t qi : active_) {
-      if (!lanes_[qi]->done) active_[w++] = qi;
-    }
-    active_.resize(w);
-  }
-  }
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) lanes_[qi]->heap.clear();
 }
 
 template class MultiQueryTimeEngineT<TimeBinaryQueue>;
-template class MultiQueryTimeEngineT<TimeQuaternaryQueue>;
-template class MultiQueryTimeEngineT<TimeLazyQueue>;
 template class MultiQueryTimeEngineT<TimeBucketQueue>;
 
 // ---------------------------------------------------------------------------
@@ -326,8 +202,6 @@ MultiQueryOverlayTimeEngineT<Queue>::MultiQueryOverlayTimeEngineT(
       g_(g),
       ov_(ov),
       ws_(ws),
-      active_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))),
-      frontier_(scratch_alloc(ws)),
       batch_(scratch_alloc(ws)),
       trans_dist_(ArenaAllocator<Time>(scratch_alloc(ws))),
       row_ts_(ArenaAllocator<Time>(scratch_alloc(ws))),
@@ -423,8 +297,7 @@ void MultiQueryOverlayTimeEngineT<Queue>::pop_step(Lane& lane) {
 template <typename Queue>
 void MultiQueryOverlayTimeEngineT<Queue>::settle_source(Lane& lane) {
   // Dedicated source loop, identical in every RelaxMode (see
-  // OverlayTimeQueryT): boards are free, shortcut TTFs board-discounted —
-  // a per-lane entry-time shift the shared frontier has no word for.
+  // OverlayTimeQueryT): boards are free, shortcut TTFs board-discounted.
   const NodeId v = lane.settled_node;
   const Time key = lane.key;
   const std::uint32_t eb = ov_.edge_begin(v);
@@ -495,35 +368,6 @@ void MultiQueryOverlayTimeEngineT<Queue>::settle_batched(Lane& lane) {
 }
 
 template <typename Queue>
-void MultiQueryOverlayTimeEngineT<Queue>::gather(Lane& lane) {
-  lane.seg_begin = static_cast<std::uint32_t>(frontier_.size());
-  const NodeId v = lane.settled_node;
-  const Time key = lane.key;
-  const std::uint32_t eb = ov_.edge_begin(v);
-  const std::uint32_t ee = ov_.edge_end(v);
-  const NodeId* const heads = ov_.heads_data();
-  const std::uint32_t* const words = ov_.words_data();
-  for (std::uint32_t ei = eb; ei < ee; ++ei) {
-    if (ei + 1 < ee) lane.dist.prefetch(heads[ei + 1]);
-    const NodeId head = heads[ei];
-    if (lane.dist.get(head) <= key) continue;
-    frontier_.push(words[ei], key, head, ei);
-  }
-  lane.seg_end = static_cast<std::uint32_t>(frontier_.size());
-}
-
-template <typename Queue>
-void MultiQueryOverlayTimeEngineT<Queue>::commit(Lane& lane) {
-  for (std::uint32_t slot = lane.seg_begin; slot < lane.seg_end; ++slot) {
-    const NodeId head = frontier_.head(slot);
-    if (lane.dist.get(head) <= lane.key) continue;  // dropped by this round
-    const Time t = frontier_.out(slot);
-    if (t == kInfTime) continue;
-    commit_one(lane, head, t, frontier_.edge(slot));
-  }
-}
-
-template <typename Queue>
 void MultiQueryOverlayTimeEngineT<Queue>::run(
     std::span<const BatchQuery> queries) {
   batch_stats_.reset();
@@ -531,16 +375,13 @@ void MultiQueryOverlayTimeEngineT<Queue>::run(
   num_queries_ = queries.size();
   ensure_lanes(queries.size());
 
-  // Cache-sized lane tiles, as in the flat engine (see its run()): outside
-  // the shared-frontier mode each lane's core ascent runs to completion
-  // with per-query locality; the down-sweep afterwards spans the whole
-  // batch either way.
-  const bool shared = relax_.mode != RelaxMode::kInterleaved;
-  const bool lockstep = relax_.mode == RelaxMode::kBatchAlways;
-  for (std::size_t tb = 0; tb < queries.size(); tb += kLaneTile) {
-  const std::size_t te = std::min(tb + kLaneTile, queries.size());
-  active_.clear();
-  for (std::size_t qi = tb; qi < te; ++qi) {
+  // As in the flat engine, each lane's core ascent runs to completion with
+  // per-query locality; wide shortcut fans reach the batch kernels through
+  // settle_batched() at the lane's single pop key. The down-sweep
+  // afterwards spans the whole batch.
+  const std::uint32_t batch_from =
+      batch_fanout_threshold(relax_.mode, relax_.batch_min_edges);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     Lane& lane = *lanes_[qi];
     const BatchQuery& q = queries[qi];
     assert(q.source < tt_.num_stations());
@@ -558,63 +399,19 @@ void MultiQueryOverlayTimeEngineT<Queue>::run(
     lane.dist.set(lane.src, q.departure);
     lane.heap.push(lane.src, q.departure);
     lane.stats.pushed++;
-    active_.push_back(static_cast<std::uint32_t>(qi));
-  }
-
-  if (!lockstep) {
-    // Lanes share no relax state outside the shared-frontier mode: run
-    // each to completion. Wide shortcut fans still reach the batch
-    // kernels through settle_batched() at the lane's single pop key.
-    for (const std::uint32_t qi : active_) {
-      Lane& lane = *lanes_[qi];
-      for (;;) {
-        pop_step(lane);
-        if (lane.done) break;
-        lane.seg_begin = lane.seg_end = 0;
-        if (lane.settled_node == lane.src) {
-          settle_source(lane);
-        } else if (shared && ov_.ttf_out_degree(lane.settled_node) >=
-                                 relax_.batch_min_edges) {
-          settle_batched(lane);
-        } else {
-          settle_interleaved(lane);
-        }
-      }
-    }
-    continue;
-  }
-
-  while (!active_.empty()) {
-    frontier_.clear();
-    for (const std::uint32_t qi : active_) {
-      Lane& lane = *lanes_[qi];
+    for (;;) {
       pop_step(lane);
-      if (lane.done) continue;
+      if (lane.done) break;
       if (lane.settled_node == lane.src) {
         settle_source(lane);
-        lane.seg_begin = lane.seg_end = 0;
-        continue;
-      }
-      // kBatchAlways: every settled fan joins the cross-lane shared
-      // frontier; eval groups slots by TTF word across lanes (see the
-      // header for when that shape wins).
-      gather(lane);
-    }
-    if (frontier_.size() != 0) {
-      frontier_.eval(ov_.ttfs(), batch_stats_);
-      for (const std::uint32_t qi : active_) {
-        Lane& lane = *lanes_[qi];
-        if (!lane.done) commit(lane);
+      } else if (ov_.ttf_out_degree(lane.settled_node) >= batch_from) {
+        settle_batched(lane);
+      } else {
+        settle_interleaved(lane);
       }
     }
-    std::size_t w = 0;
-    for (const std::uint32_t qi : active_) {
-      if (!lanes_[qi]->done) active_[w++] = qi;
-    }
-    active_.resize(w);
+    lane.heap.clear();
   }
-  }
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) lanes_[qi]->heap.clear();
 }
 
 template <typename Queue>
@@ -767,8 +564,6 @@ void MultiQueryOverlayTimeEngineT<Queue>::settle_contracted_batch() {
 }
 
 template class MultiQueryOverlayTimeEngineT<TimeBinaryQueue>;
-template class MultiQueryOverlayTimeEngineT<TimeQuaternaryQueue>;
-template class MultiQueryOverlayTimeEngineT<TimeLazyQueue>;
 template class MultiQueryOverlayTimeEngineT<TimeBucketQueue>;
 
 }  // namespace pconn

@@ -1,50 +1,29 @@
-// Throughput-mode multi-query engines: K concurrent time queries over one
-// graph, relaxed through a shared function-grouped frontier
-// (docs/architecture.md "Throughput execution").
+// Throughput-mode multi-query engines: K time queries over one graph per
+// call (docs/architecture.md "Throughput execution").
 //
-// A single query's settle rarely offers the AVX2 kernels more than a
-// handful of TTF lanes (BENCH_batch.json's micro table: the vector kernels
-// only clearly win from ~32 lanes). The paper's workloads, though, are
-// streams and matrices of queries — so instead of vectorizing inside one
-// search, MultiQueryTimeEngineT advances K searches in lockstep rounds:
-//
-//   1. pop    — every active lane settles one node exactly as its
-//               per-query engine would (same stale-pop protocol, same
-//               target stop, same accounting);
-//   2. gather — each lane streams its settled node's out-block, runs the
-//               per-query `dist <= key` pre-test, and appends surviving
-//               (word, pop-key, head) tuples to the SharedFrontier;
-//   3. eval   — the frontier answers all K lanes' pending edges with a few
-//               wide kernel calls (same-function runs via arrival_tn, the
-//               mixed residue via one arrival_ptn — relax_batch.hpp);
-//   4. commit — lanes commit their slots back in lane order, each slot in
-//               edge order, re-running the dist bound — byte-for-byte the
-//               per-query batch commit pass.
-//
-// Determinism: lanes share only read-only graph state; a lane's dist/
-// parent/queue advance exclusively in its own pop and commit steps, and
-// the kernels are bit-identical to scalar evaluation. Every lane's
-// results AND QueryStats therefore equal a standalone TimeQueryT run of
-// the same query, in every RelaxMode and queue policy
+// Each lane is one query with its own sharded label state (epoch arrays,
+// queue) in the engine's workspace, and runs to completion with the
+// per-query engine's settle loop: the flat engine's run_lane() is
+// TimeQueryT's fused pop/relax loop verbatim, the overlay engine's lanes
+// replicate OverlayTimeQueryT. Wide fans reach the batch kernels through
+// the per-lane single-entry-time path (one arrivals_by_words call at the
+// lane's pop key — byte-identical to the per-query engines' batch relax);
+// narrow fans and RelaxMode::kInterleaved relax inline. Every lane's
+// results AND QueryStats therefore equal a standalone per-query run of the
+// same query, in both RelaxModes and queue policies
 // (tests/multi_query_test.cpp proves this differentially).
 //
-// RelaxMode semantics: kInterleaved runs each lane's full per-query
-// interleaved settle inline (the A/B baseline — no batching at all).
-// kBatch, the default, settles wide fans through the per-lane
-// single-entry-time batch path (one arrivals_by_words call at the lane's
-// pop key — byte-identical to the per-query engines' batch relax) and
-// narrow fans inline. kBatchAlways routes every settle through the
-// cross-lane SharedFrontier rounds above. Measured: on the core search
-// the per-lane path wins — a fan at one entry time is cheaper to
+// Cross-lane batching pays where entry times are unavoidably mixed and the
+// order is queue-less: the overlay engine's settle_contracted_batch
+// down-sweep (one arrival_tn call per down-edge spanning the whole batch).
+// A lockstep cross-lane frontier for the core search itself measured
+// slower than the per-lane path: a fan at one entry time is cheaper to
 // evaluate than the same edges regrouped across lanes with mixed entry
-// times — so cross-lane batching earns its keep where entry times are
-// unavoidably mixed and the order is queue-less: the overlay engine's
-// settle_contracted_batch down-sweep (one arrival_tn call per down-edge
-// spanning the whole batch).
+// times.
 //
-// All lane state (per-lane epoch arrays, queues) and the frontier are
-// workspace-resident: a warm run_batch() of the same shape allocates
-// nothing (the session test's operator-new guard covers it).
+// All lane state is workspace-resident: a warm run_batch() of the same
+// shape allocates nothing (the session test's operator-new guard covers
+// it).
 #pragma once
 
 #include <memory>
@@ -69,16 +48,8 @@ struct BatchQuery {
   StationId target = kInvalidStation;
 };
 
-/// Lanes run in lockstep tiles of this many queries (each tile to
-/// completion before the next starts). Round-robining a whole 64-lane
-/// batch streams every lane's labels and heap through the cache once per
-/// round; a tile keeps the round working set L2-sized while the frontier
-/// still sees enough lanes to form same-function runs. The overlay
-/// down-sweep is unaffected — it always spans the full batch.
-constexpr std::size_t kLaneTile = 16;
-
 /// Flat-graph multi-query engine; definitions in multi_query.cpp
-/// instantiate the four shipped queue policies.
+/// instantiate the two shipped queue policies.
 template <typename Queue = TimeBinaryQueue>
 class MultiQueryTimeEngineT {
  public:
@@ -101,9 +72,8 @@ class MultiQueryTimeEngineT {
   }
   const QueryStats& stats(std::size_t q) const { return lanes_[q]->stats; }
 
-  /// Lane-occupancy accounting of the shared eval stage: one record per
-  /// kernel call, its width as the size. mean_gather() is the mean eval
-  /// lane count bench_multiquery reports and CI gates (>= 32).
+  /// Batch-engagement accounting of the per-lane batch relax path: one
+  /// record per batched settle, its gather size as the width.
   const BatchStats& batch_stats() const { return batch_stats_; }
 
   void set_relax_mode(RelaxMode m) { relax_.mode = m; }
@@ -143,40 +113,25 @@ class MultiQueryTimeEngineT {
     QueryStats stats;
     NodeId src = kInvalidNode;
     NodeId target_node = kInvalidNode;
-    NodeId settled_node = kInvalidNode;  // node settled this round
-    Time key = 0;                        // its pop key
-    std::uint32_t seg_begin = 0;         // this round's frontier slots
-    std::uint32_t seg_end = 0;
     std::uint32_t targets_left = 0;  // stop-set stations not yet settled
-    bool done = false;
   };
 
   void ensure_lanes(std::size_t k);
   /// Runs one lane to completion with the per-query engine's fused
-  /// pop/relax loop (kInterleaved and kBatch: lanes share no relax state,
-  /// so each is exactly a TimeQueryT run over lane-sharded label state —
-  /// outlining the per-settle steps measurably cost ~6-10% on the flat
-  /// station-table workload vs the per-query loop). flatten: this TU
-  /// instantiates eight engine variants, which exhausts the inliner's
-  /// budget right here — without the attribute, TtfPool::eval and the
-  /// heap push stay out-of-line calls in the hottest loop (a measured
-  /// ~4-5% per-settle tax the per-query engine, compiled alone in its own
-  /// TU, does not pay).
+  /// pop/relax loop: lanes share no relax state, so each is exactly a
+  /// TimeQueryT run over lane-sharded label state (outlining the
+  /// per-settle steps measurably cost ~6-10% on the flat station-table
+  /// workload vs the per-query loop). flatten: this TU instantiates four
+  /// engine variants, and without the attribute TtfPool::eval and the
+  /// heap push have stayed out-of-line calls in the hottest loop (a
+  /// measured ~4-5% per-settle tax the per-query engine, compiled alone in
+  /// its own TU, does not pay).
   [[gnu::flatten]] void run_lane(Lane& lane);
-  /// Pops one settleable node for the lane (per-query protocol); marks the
-  /// lane done on heap exhaustion or target settle.
-  void pop_step(Lane& lane);
-  /// Gather phase of the cross-lane shared-frontier mode (kBatchAlways).
-  void gather(Lane& lane);
-  /// Commit phase: the per-query batch commit pass over the lane's slots.
-  void commit(Lane& lane);
 
   const Timetable& tt_;
   const TdGraph& g_;
   QueryWorkspace* ws_;
   std::vector<std::unique_ptr<Lane>> lanes_;  // grown to the max K seen
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> active_;
-  SharedFrontier frontier_;
   RelaxBatch batch_;  // per-lane wide-fan gather/eval scratch
   RelaxOptions relax_;
   BatchStats batch_stats_;
@@ -190,13 +145,11 @@ class MultiQueryTimeEngineT {
 
 using MultiQueryTimeEngine = MultiQueryTimeEngineT<>;
 
-/// Overlay-routed variant: the same lockstep rounds over the contraction
-/// overlay's core (algo/overlay_query.hpp). Each lane replicates
-/// OverlayTimeQueryT exactly — the dedicated board-discounted source loop
-/// runs inline (all modes, like the per-query engine), core settles feed
-/// the shared frontier. This is where cross-query function grouping pays
-/// twice: core fans are wide AND queries converge on the same shortcut
-/// TTFs, so same-function arrival_tn runs dominate the eval stage.
+/// Overlay-routed variant over the contraction overlay's core
+/// (algo/overlay_query.hpp). Each lane replicates OverlayTimeQueryT
+/// exactly — the dedicated board-discounted source loop, then core
+/// settles through the per-lane batch or interleaved relax; the
+/// cross-lane down-sweep (settle_contracted_batch) finishes full runs.
 template <typename Queue = TimeBinaryQueue>
 class MultiQueryOverlayTimeEngineT {
  public:
@@ -266,10 +219,8 @@ class MultiQueryOverlayTimeEngineT {
     StationId source = kInvalidStation;
     NodeId src = kInvalidNode;
     NodeId target_node = kInvalidNode;
-    NodeId settled_node = kInvalidNode;
-    Time key = 0;
-    std::uint32_t seg_begin = 0;
-    std::uint32_t seg_end = 0;
+    NodeId settled_node = kInvalidNode;  // node settled by pop_step
+    Time key = 0;                        // its pop key
     bool done = false;
   };
 
@@ -281,11 +232,8 @@ class MultiQueryOverlayTimeEngineT {
   /// Wide-fan settle through the per-query batch relax path (see the flat
   /// engine): the kBatch default on the overlay core.
   void settle_batched(Lane& lane);
-  /// Gather phase of the cross-lane shared-frontier mode (kBatchAlways).
-  void gather(Lane& lane);
-  void commit(Lane& lane);
   /// Accounting + label/parent/parent-edge update for one surviving
-  /// evaluation (shared by the inline settles and the commit pass).
+  /// evaluation (shared by every settle body).
   void commit_one(Lane& lane, NodeId head, Time t, std::uint32_t ei);
 
   const Timetable& tt_;
@@ -293,8 +241,6 @@ class MultiQueryOverlayTimeEngineT {
   const OverlayGraph& ov_;
   QueryWorkspace* ws_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> active_;
-  SharedFrontier frontier_;
   RelaxBatch batch_;  // per-lane wide-fan gather/eval scratch
   RelaxOptions relax_;
   BatchStats batch_stats_;

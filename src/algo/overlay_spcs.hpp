@@ -59,8 +59,8 @@ namespace pconn {
 /// Template over the queue policy of the per-thread SPCS states; shares
 /// ParallelSpcsOptions and the result structs with the flat driver so the
 /// two engines are drop-in interchangeable. Definitions live in
-/// overlay_spcs.cpp (the four shipped policies are instantiated there).
-template <typename Queue = SpcsBinaryQueue>
+/// overlay_spcs.cpp (the two shipped policies are instantiated there).
+template <typename Queue = SpcsBucketQueue>
 class OverlayParallelSpcsT {
  public:
   /// Needs the flat graph alongside the overlay for the initial pushes

@@ -177,11 +177,8 @@ StationQueryResult ParallelSpcsT<Queue>::station_to_station(StationId s,
   return res;
 }
 
-// The four shipped queue policies (queue_policy.hpp). Other policies would
-// need their own explicit instantiation here.
+// The two shipped queue policies (queue_policy.hpp).
 template class ParallelSpcsT<SpcsBinaryQueue>;
-template class ParallelSpcsT<SpcsQuaternaryQueue>;
-template class ParallelSpcsT<SpcsLazyQueue>;
 template class ParallelSpcsT<SpcsBucketQueue>;
 
 }  // namespace pconn

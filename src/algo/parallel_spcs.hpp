@@ -29,8 +29,8 @@ struct ParallelSpcsOptions {
   bool self_pruning = true;
   bool stopping_criterion = true;  // station-to-station queries only
   bool prune_on_relax = false;     // see SpcsOptions::prune_on_relax
-  RelaxMode relax = default_relax_mode();  // see SpcsOptions::relax
-  std::uint32_t batch_min_edges = default_batch_min_edges();
+  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
+  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 struct OneToAllResult {
@@ -50,8 +50,9 @@ struct StationQueryResult {
 
 /// Template over the queue policy of the per-thread SPCS states
 /// (queue_policy.hpp). Definitions live in parallel_spcs.cpp, which
-/// explicitly instantiates the four shipped policies; `ParallelSpcs` is
-/// the paper's binary-heap configuration.
+/// explicitly instantiates the two shipped policies; `ParallelSpcs` is
+/// the served bucket-queue configuration (`ParallelSpcsT<SpcsBinaryQueue>`
+/// is the paper's).
 ///
 /// Lifecycle: the driver owns one QueryWorkspace per pool thread; every
 /// thread state's scratch (labels, queue, bucket window) lives in its
@@ -60,7 +61,7 @@ struct StationQueryResult {
 /// variants additionally reuse caller-owned result buffers, so a warm
 /// driver answers queries without any heap allocation (QuerySession wraps
 /// them; see docs/architecture.md).
-template <typename Queue = SpcsBinaryQueue>
+template <typename Queue = SpcsBucketQueue>
 class ParallelSpcsT {
  public:
   ParallelSpcsT(const Timetable& tt, const TdGraph& g,

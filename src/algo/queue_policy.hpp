@@ -1,7 +1,11 @@
 // The pluggable monotone priority-queue policies of the query engines.
 //
-// Every Dijkstra-style engine (SPCS, the time queries, LC) is a class
-// template over a queue policy; this header names the concrete policies,
+// The monotone Dijkstra-style engines (SPCS, the time queries, MC) are
+// class templates over a queue policy: the paper's binary heap, kept as the
+// baseline and differential reference, and a two-level monotone bucket
+// queue, the measured winner on every network (docs/queues.md) and the
+// served SPCS default. The label-correcting LC engines run on the binary
+// heap only. This header names the concrete policies,
 // gives them stable CLI names (`--queue` in the table benches), and
 // provides the runtime-to-compile-time dispatch the benches use. A policy
 // must provide:
@@ -34,15 +38,11 @@ namespace pconn {
 inline constexpr unsigned kSpcsKeyShift = 20;
 
 // --- SPCS policies (64-bit composite keys) -------------------------------
-using SpcsBinaryQueue = DAryHeap<std::uint64_t, 2>;      // the paper's queue
-using SpcsQuaternaryQueue = DAryHeap<std::uint64_t, 4>;  // cache-width arity
-using SpcsLazyQueue = LazyDAryHeap<std::uint64_t, 4>;
+using SpcsBinaryQueue = BinaryHeap<std::uint64_t>;  // the paper's queue
 using SpcsBucketQueue = BucketQueue<std::uint64_t, kSpcsKeyShift, 12>;
 
 // --- scalar-time policies (TimeQuery / TeTimeQuery / LC) -----------------
-using TimeBinaryQueue = DAryHeap<Time, 2>;
-using TimeQuaternaryQueue = DAryHeap<Time, 4>;
-using TimeLazyQueue = LazyDAryHeap<Time, 4>;
+using TimeBinaryQueue = BinaryHeap<Time>;
 using TimeBucketQueue = BucketQueue<Time, 0, 12>;  // one bucket per second
 
 // --- multi-criteria policies (McTimeQuery) -------------------------------
@@ -53,22 +53,17 @@ using TimeBucketQueue = BucketQueue<Time, 0, 12>;  // one bucket per second
 /// exactly the std::priority_queue the engine used to hard-code.
 inline constexpr unsigned kMcKeyShift = 8;
 using McBinaryQueue = LazyDAryHeap<std::uint64_t, 2>;
-using McQuaternaryQueue = LazyDAryHeap<std::uint64_t, 4>;
-using McLazyQueue = LazyDAryHeap<std::uint64_t, 4>;
 using McBucketQueue = BucketQueue<std::uint64_t, kMcKeyShift, 12>;
 
 /// Runtime policy selector (bench `--queue` flag, differential tests).
-enum class QueueKind { kBinary, kQuaternary, kLazy, kBucket };
+enum class QueueKind { kBinary, kBucket };
 
-inline constexpr QueueKind kAllQueueKinds[] = {
-    QueueKind::kBinary, QueueKind::kQuaternary, QueueKind::kLazy,
-    QueueKind::kBucket};
+inline constexpr QueueKind kAllQueueKinds[] = {QueueKind::kBinary,
+                                               QueueKind::kBucket};
 
 inline const char* queue_kind_name(QueueKind k) {
   switch (k) {
     case QueueKind::kBinary: return "binary";
-    case QueueKind::kQuaternary: return "quaternary";
-    case QueueKind::kLazy: return "lazy";
     case QueueKind::kBucket: return "bucket";
   }
   return "?";
@@ -82,54 +77,27 @@ inline std::optional<QueueKind> parse_queue_kind(std::string_view s) {
 }
 
 /// Calls `fn(std::type_identity<Policy>{})` with the SPCS policy selected
-/// by `k`; returns whatever fn returns (all branches must agree).
+/// by `k`; returns whatever fn returns (both branches must agree).
 template <typename Fn>
 decltype(auto) with_spcs_queue(QueueKind k, Fn&& fn) {
-  switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<SpcsQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<SpcsLazyQueue>{});
-    case QueueKind::kBucket:
-      return fn(std::type_identity<SpcsBucketQueue>{});
-    case QueueKind::kBinary:
-    default:
-      return fn(std::type_identity<SpcsBinaryQueue>{});
-  }
+  if (k == QueueKind::kBucket) return fn(std::type_identity<SpcsBucketQueue>{});
+  return fn(std::type_identity<SpcsBinaryQueue>{});
 }
 
 /// Scalar-time variant of with_spcs_queue (time/overlay/multi-query
 /// engines).
 template <typename Fn>
 decltype(auto) with_time_queue(QueueKind k, Fn&& fn) {
-  switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<TimeQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<TimeLazyQueue>{});
-    case QueueKind::kBucket:
-      return fn(std::type_identity<TimeBucketQueue>{});
-    case QueueKind::kBinary:
-    default:
-      return fn(std::type_identity<TimeBinaryQueue>{});
-  }
+  if (k == QueueKind::kBucket) return fn(std::type_identity<TimeBucketQueue>{});
+  return fn(std::type_identity<TimeBinaryQueue>{});
 }
 
-/// Multi-criteria variant of with_spcs_queue: the addressable kinds map to
-/// their lazy multi-label counterparts of the same arity (see above).
+/// Multi-criteria variant of with_spcs_queue: binary maps to the lazy
+/// multi-label heap of arity 2 (see above).
 template <typename Fn>
 decltype(auto) with_mc_queue(QueueKind k, Fn&& fn) {
-  switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<McQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<McLazyQueue>{});
-    case QueueKind::kBucket:
-      return fn(std::type_identity<McBucketQueue>{});
-    case QueueKind::kBinary:
-    default:
-      return fn(std::type_identity<McBinaryQueue>{});
-  }
+  if (k == QueueKind::kBucket) return fn(std::type_identity<McBucketQueue>{});
+  return fn(std::type_identity<McBinaryQueue>{});
 }
 
 }  // namespace pconn

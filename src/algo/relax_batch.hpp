@@ -19,8 +19,7 @@
 // and queue policy.
 //
 // The interleaved loop survives behind RelaxMode::kInterleaved as the
-// measurement baseline (bench_batchrelax) and as an escape hatch
-// (PCONN_NO_BATCH_RELAX=1 flips the process-wide default).
+// measurement baseline (bench_batchrelax).
 //
 // RelaxBatch is the workspace-resident buffer of phase 1/2: engines own
 // one, placed in their QueryWorkspace's arena, and reserve() it to the
@@ -31,7 +30,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "timetable/types.hpp"
@@ -39,15 +38,13 @@
 
 namespace pconn {
 
-class TtfPool;
-
 enum class RelaxMode : std::uint8_t {
   kInterleaved,  // seed behaviour: eval and push logic per edge
   kBatch,        // gather -> batch eval -> commit where profitable
-                 // (TTF fan-out >= kBatchRelaxMinEdges; the default)
-  kBatchAlways,  // phased loop on every settle, no profitability test —
-                 // exercises the batch bodies in the differential tests
-                 // and the A/B bench even where fan-outs are tiny
+                 // (TTF fan-out >= batch_min_edges; the default). With
+                 // batch_min_edges = 0 every settle runs the phased loop —
+                 // how the differential tests and the A/B bench exercise
+                 // the batch bodies even where fan-outs are tiny.
 };
 
 /// Fan-out threshold of the batch mode: a settled node whose block holds
@@ -59,40 +56,9 @@ enum class RelaxMode : std::uint8_t {
 /// the model's 2-3-edge route nodes through the phases costs ~20%
 /// (bench_batchrelax). LC is exempt — its batch dimension is the label
 /// profile, profitable at any size. Results are identical on both sides
-/// of the threshold by construction. This is the compiled default; the
-/// effective per-engine value is RelaxOptions::batch_min_edges, seeded
-/// from PCONN_BATCH_MIN_EDGES (default_batch_min_edges below).
+/// of the threshold by construction. This is the default of the
+/// per-engine value, RelaxOptions::batch_min_edges.
 inline constexpr std::uint32_t kBatchRelaxMinEdges = 8;
-
-/// Process-wide default: batch, unless PCONN_NO_BATCH_RELAX is set (the
-/// A/B escape hatch, mirroring PCONN_NO_AVX2 for the kernels).
-inline RelaxMode default_relax_mode() {
-  static const RelaxMode mode = std::getenv("PCONN_NO_BATCH_RELAX") != nullptr
-                                    ? RelaxMode::kInterleaved
-                                    : RelaxMode::kBatch;
-  return mode;
-}
-
-/// PCONN_BATCH_MIN_EDGES parsing, separated from the env lookup so the
-/// tests can exercise it without racing the process-wide cache below.
-/// Rejects garbage and negatives (falls back to the compiled default).
-inline std::uint32_t parse_batch_min_edges(const char* v) {
-  if (v == nullptr) return kBatchRelaxMinEdges;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || parsed < 0) return kBatchRelaxMinEdges;
-  return static_cast<std::uint32_t>(parsed);
-}
-
-/// Process-wide default of the batch profitability threshold: the compiled
-/// kBatchRelaxMinEdges unless PCONN_BATCH_MIN_EDGES overrides it — the
-/// per-network tuning knob the crossover table in BENCH_batch.json informs.
-/// Parsed once; per-engine overrides go through RelaxOptions.
-inline std::uint32_t default_batch_min_edges() {
-  static const std::uint32_t v =
-      parse_batch_min_edges(std::getenv("PCONN_BATCH_MIN_EDGES"));
-  return v;
-}
 
 /// Relax-loop configuration of one engine: the phasing mode plus the
 /// runtime profitability threshold. Results and accounting are bit-identical
@@ -100,15 +66,24 @@ inline std::uint32_t default_batch_min_edges() {
 /// of two equivalent loop bodies runs — tests/batch_relax_test.cpp sweeps
 /// it alongside the modes); only throughput changes.
 struct RelaxOptions {
-  RelaxMode mode = default_relax_mode();
-  std::uint32_t batch_min_edges = default_batch_min_edges();
+  RelaxMode mode = RelaxMode::kBatch;
+  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
+
+/// Smallest fan-out whose settle runs the batch body: batch_min_edges in
+/// batch mode, none in interleaved mode. Engines compute it once per run,
+/// so the per-settle test is a single compare.
+inline std::uint32_t batch_fanout_threshold(RelaxMode mode,
+                                            std::uint32_t batch_min_edges) {
+  return mode == RelaxMode::kInterleaved
+             ? std::numeric_limits<std::uint32_t>::max()
+             : batch_min_edges;
+}
 
 inline const char* relax_mode_name(RelaxMode m) {
   switch (m) {
     case RelaxMode::kInterleaved: return "interleaved";
     case RelaxMode::kBatch: return "batch";
-    case RelaxMode::kBatchAlways: return "batch-always";
   }
   return "?";
 }
@@ -199,107 +174,6 @@ class RelaxBatch {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> aux2_;
   std::vector<Time, ArenaAllocator<Time>> out_;
   std::size_t capacity_ = 0;
-};
-
-/// The cross-query pending buffer of the throughput engines
-/// (algo/multi_query.hpp, docs/architecture.md "Throughput execution").
-///
-/// One relaxation round appends (word, entry-time, head[, edge]) tuples
-/// lane by lane — every active query contributes its settled node's
-/// surviving edges at its own pop key — and eval() then answers all of
-/// them with as few and as wide kernel calls as the round allows:
-///   * constant words are inline adds (no kernel, not lane-occupancy);
-///   * TTF slots are bucketed by function id in O(slots) — an epoch-
-///     stamped per-function group table, no comparison sort (an early
-///     std::sort-per-round draft cost more than the kernels saved);
-///     groups of >= kSharedRunMinLanes slots sharing one function become
-///     a single arrival_tn call (one metadata load, the entry times as
-///     the vector dimension);
-///   * the mixed-function residue goes through one wide arrival_ptn call
-///     (per-lane word AND per-lane time gathers).
-/// Group order is first appearance in slot order and slots stay ascending
-/// within a group, so call shapes — and every result slot — are
-/// deterministic.
-/// Every kernel call's width is record()ed into the engine's BatchStats —
-/// that histogram is the "did the cross-query batching actually reach
-/// 32-128 lanes" number bench_multiquery reports and CI gates.
-///
-/// Results are bit-identical to evaluating each slot alone (the kernels
-/// are bit-identical to the scalar path by the ttf_test sweeps), so the
-/// engines' commit passes see exactly the arrivals a per-query run would.
-class SharedFrontier {
- public:
-  SharedFrontier() = default;
-  explicit SharedFrontier(ScratchAlloc alloc)
-      : words_(ArenaAllocator<std::uint32_t>(alloc)),
-        heads_(ArenaAllocator<std::uint32_t>(alloc)),
-        edges_(ArenaAllocator<std::uint32_t>(alloc)),
-        times_(ArenaAllocator<Time>(alloc)),
-        out_(ArenaAllocator<Time>(alloc)),
-        seen_stamp_(ArenaAllocator<std::uint32_t>(alloc)),
-        word_group_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_word_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_cursor_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_offset_(ArenaAllocator<std::uint32_t>(alloc)),
-        ttf_slots_(ArenaAllocator<std::uint32_t>(alloc)),
-        order_(ArenaAllocator<std::uint32_t>(alloc)),
-        run_ts_(ArenaAllocator<Time>(alloc)),
-        run_out_(ArenaAllocator<Time>(alloc)),
-        grp_words_(ArenaAllocator<std::uint32_t>(alloc)),
-        grp_slots_(ArenaAllocator<std::uint32_t>(alloc)),
-        grp_ts_(ArenaAllocator<Time>(alloc)),
-        grp_out_(ArenaAllocator<Time>(alloc)) {}
-
-  /// Same-function run length from which the grouped arrival_tn call is
-  /// preferred over folding the slots into the mixed arrival_ptn residue.
-  static constexpr std::size_t kSharedRunMinLanes = 8;
-
-  void clear() {
-    words_.clear();
-    heads_.clear();
-    edges_.clear();
-    times_.clear();
-  }
-  void push(std::uint32_t word, Time t, std::uint32_t head,
-            std::uint32_t edge = 0) {
-    words_.push_back(word);
-    times_.push_back(t);
-    heads_.push_back(head);
-    edges_.push_back(edge);
-  }
-  std::size_t size() const { return words_.size(); }
-  std::uint32_t head(std::size_t i) const { return heads_[i]; }
-  std::uint32_t edge(std::size_t i) const { return edges_[i]; }
-  Time out(std::size_t i) const { return out_[i]; }
-
-  /// Evaluates every pending slot against `pool` (out(i) = absolute
-  /// arrival via words[i] entered at times[i]); kernel-call widths are
-  /// recorded into `stats`. Definition in relax_batch.cpp.
-  void eval(const TtfPool& pool, BatchStats& stats);
-
- private:
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> words_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> heads_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> edges_;
-  std::vector<Time, ArenaAllocator<Time>> times_;
-  std::vector<Time, ArenaAllocator<Time>> out_;
-  // Function-grouping scratch: seen_stamp_/word_group_ are per-function
-  // tables (pool-sized, epoch-stamped per eval round so no per-round
-  // clear); the rest are compacted per-round group arrays.
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> seen_stamp_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> word_group_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_word_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_cursor_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_offset_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> ttf_slots_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> order_;
-  std::uint32_t round_ = 0;
-  std::vector<Time, ArenaAllocator<Time>> run_ts_;
-  std::vector<Time, ArenaAllocator<Time>> run_out_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> grp_words_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> grp_slots_;
-  std::vector<Time, ArenaAllocator<Time>> grp_ts_;
-  std::vector<Time, ArenaAllocator<Time>> grp_out_;
 };
 
 }  // namespace pconn

@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 #include <span>
 
@@ -51,10 +50,9 @@ struct QuerySessionOptions {
   bool prune_on_relax = false;
   bool table_pruning = true;   // s2s engine only
   bool target_pruning = true;  // s2s engine only
-  RelaxMode relax = default_relax_mode();  // see SpcsOptions::relax
-  // Adaptive-batch engagement threshold (see RelaxOptions::batch_min_edges;
-  // seeded from PCONN_BATCH_MIN_EDGES).
-  std::uint32_t batch_min_edges = default_batch_min_edges();
+  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
+  // Adaptive-batch engagement threshold (RelaxOptions::batch_min_edges).
+  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 
   RelaxOptions relax_options() const {
     return {.mode = relax, .batch_min_edges = batch_min_edges};
@@ -82,14 +80,14 @@ struct QuerySessionOptions {
 };
 
 /// Template over the queue policies of the engine families it fronts:
-/// SPCS-style profile engines, scalar-time engines, the label-correcting
-/// baseline (heaps only — see LcProfileQueryT) and the multi-criteria
-/// engine (non-addressable only — see McTimeQueryT). Engines and the
-/// policies they can run are instantiated on first use, so a session type
-/// only requires the combinations it actually exercises.
-template <typename SpcsQueue = SpcsBinaryQueue,
+/// SPCS-style profile engines (the bucket queue by default — the served
+/// winner, docs/queues.md), scalar-time engines and the multi-criteria
+/// engine (non-addressable only — see McTimeQueryT). The label-correcting
+/// baseline always runs on the binary heap (see LcProfileQuery). Engines
+/// are instantiated on first use, so a session type only requires the
+/// combinations it actually exercises.
+template <typename SpcsQueue = SpcsBucketQueue,
           typename TimeQueue = TimeBinaryQueue,
-          typename LcQueue = TimeBinaryQueue,
           typename McQueue = McBinaryQueue>
 class QuerySessionT {
  public:
@@ -155,9 +153,9 @@ class QuerySessionT {
     return *time_;
   }
 
-  LcProfileQueryT<LcQueue>& lc_engine() {
+  LcProfileQuery& lc_engine() {
     if (!lc_) {
-      lc_ = std::make_unique<LcProfileQueryT<LcQueue>>(*tt_, *g_, &ws_);
+      lc_ = std::make_unique<LcProfileQuery>(*tt_, *g_, &ws_);
       lc_->set_relax_mode(opt_.relax);
     }
     return *lc_;
@@ -212,9 +210,9 @@ class QuerySessionT {
     return *ov_spcs_;
   }
 
-  OverlayLcProfileQueryT<LcQueue>& overlay_lc_engine(const OverlayGraph& ov) {
+  OverlayLcProfileQuery& overlay_lc_engine(const OverlayGraph& ov) {
     if (!ov_lc_ || ov_lc_graph_ != &ov) {
-      ov_lc_ = std::make_unique<OverlayLcProfileQueryT<LcQueue>>(*tt_, ov, &ws_);
+      ov_lc_ = std::make_unique<OverlayLcProfileQuery>(*tt_, ov, &ws_);
       ov_lc_->set_relax_mode(opt_.relax);
       ov_lc_graph_ = &ov;
     }
@@ -246,9 +244,8 @@ class QuerySessionT {
   }
 
   /// Throughput-mode engines (docs/architecture.md "Throughput execution"):
-  /// K concurrent time queries relaxed through one shared function-grouped
-  /// frontier. Per-lane results and accounting stay byte-identical to the
-  /// per-query engines above.
+  /// K time queries per call over sharded lane state. Per-lane results and
+  /// accounting stay byte-identical to the per-query engines above.
   MultiQueryTimeEngineT<TimeQueue>& multi_engine() {
     if (!multi_) {
       multi_ =
@@ -382,8 +379,7 @@ class QuerySessionT {
     return mc_engine().pareto(target);
   }
 
-  /// Runs all `queries` concurrently through the shared frontier; read
-  /// results off the returned engine (arrival_at(q, s), stats(q), ...) —
+  /// Runs all `queries` as one batch; read results off the returned engine (arrival_at(q, s), stats(q), ...) —
   /// they hold until the next batch. Allocation-free once warm at a given
   /// batch shape.
   MultiQueryTimeEngineT<TimeQueue>& run_batch(
@@ -434,22 +430,15 @@ class QuerySessionT {
   /// table waves run arrival-only, so each lane owns ~8 B/node of live
   /// label state (dist EpochArray values + epochs; parents are untracked).
   /// The widest wave whose lane pools fit the cache budget is
-  /// budget / (nodes * 8 B) — floored at one lane tile (the engine's
-  /// lockstep width, which bounds the per-round working set on its own)
-  /// and capped at the caller's request. PCONN_TABLE_LANES overrides the
-  /// policy outright (the tuning escape hatch, read once per process like
-  /// PCONN_BATCH_MIN_EDGES).
+  /// budget / (nodes * 8 B) — floored at kMinTableLanes and capped at the
+  /// caller's request.
   static std::size_t adaptive_table_lanes(std::size_t num_nodes,
                                           std::size_t requested) {
-    static const long env_lanes = [] {
-      const char* e = std::getenv("PCONN_TABLE_LANES");
-      return e != nullptr ? std::atol(e) : 0;
-    }();
-    if (env_lanes > 0) return static_cast<std::size_t>(env_lanes);
     constexpr std::size_t kPerNodeBytes = 8;
     constexpr std::size_t kCacheBudgetBytes = 24u << 20;
+    constexpr std::size_t kMinTableLanes = 16;
     const std::size_t fit = kCacheBudgetBytes / (num_nodes * kPerNodeBytes + 1);
-    return std::min(std::max(fit, kLaneTile),
+    return std::min(std::max(fit, kMinTableLanes),
                     requested ? requested : std::size_t{1});
   }
 
@@ -514,13 +503,13 @@ class QuerySessionT {
 
   std::unique_ptr<ParallelSpcsT<SpcsQueue>> spcs_;
   std::unique_ptr<TimeQueryT<TimeQueue>> time_;
-  std::unique_ptr<LcProfileQueryT<LcQueue>> lc_;
+  std::unique_ptr<LcProfileQuery> lc_;
   std::unique_ptr<McTimeQueryT<McQueue>> mc_;
   std::unique_ptr<TeTimeQueryT<TimeQueue>> te_;
   const TeGraph* te_graph_ = nullptr;
   std::unique_ptr<OverlayTimeQueryT<TimeQueue>> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
-  std::unique_ptr<OverlayLcProfileQueryT<LcQueue>> ov_lc_;
+  std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
   const OverlayGraph* ov_lc_graph_ = nullptr;
   std::unique_ptr<OverlayParallelSpcsT<SpcsQueue>> ov_spcs_;
   const OverlayGraph* ov_spcs_graph_ = nullptr;
@@ -545,12 +534,8 @@ class QuerySessionT {
   std::vector<Time> table_buf_;
 };
 
-/// The paper's configuration: binary heaps everywhere.
+/// The served configuration: bucket queue for the profile engines, binary
+/// heaps for the time engines.
 using QuerySession = QuerySessionT<>;
-/// The fastest measured configuration (docs/queues.md): bucket queues for
-/// the monotone engines, heaps where required.
-using FastQuerySession =
-    QuerySessionT<SpcsBucketQueue, TimeBucketQueue, TimeBinaryQueue,
-                  McBucketQueue>;
 
 }  // namespace pconn

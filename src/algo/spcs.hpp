@@ -15,13 +15,14 @@
 // distance-table rules (Theorems 3/4) plug in through a SettleHook.
 //
 // The priority queue is a compile-time policy (queue_policy.hpp): the
-// paper's binary heap, a 4-ary heap, a lazy-deletion heap, or a two-level
-// monotone bucket queue. Non-addressable policies push one entry per
-// improvement; the settled matrix arr_ already identifies outdated entries
-// at pop time (arr_.touched), so stale pops are dropped without any
-// per-item bookkeeping. All policies settle the same items with the same
-// keys and produce identical profiles (tests/queue_policy_test.cpp proves
-// this differentially); only pushed/decreased/stale_popped counts differ.
+// paper's binary heap or the two-level monotone bucket queue, which is the
+// served default. The bucket queue is not addressable: it pushes one entry
+// per improvement, and the settled matrix arr_ already identifies outdated
+// entries at pop time (arr_.touched), so stale pops are dropped without
+// any per-item bookkeeping. Both policies settle the same items with the
+// same keys and produce identical profiles (tests/queue_policy_test.cpp
+// proves this differentially); only pushed/decreased/stale_popped counts
+// differ.
 #pragma once
 
 #include <cassert>
@@ -56,9 +57,9 @@ struct SpcsOptions {
   /// node's surviving edges and evaluates them with one vectorized
   /// arrival_n call; interleaved is the per-edge seed behaviour. Results
   /// and accounting are bit-identical either way.
-  RelaxMode relax = default_relax_mode();
+  RelaxMode relax = RelaxMode::kBatch;
   /// Batch profitability threshold (RelaxOptions::batch_min_edges).
-  std::uint32_t batch_min_edges = default_batch_min_edges();
+  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 /// Verdict of a SettleHook for a popped-and-settled queue item.
@@ -83,7 +84,7 @@ struct NoHook {
   }
 };
 
-template <typename Queue = SpcsBinaryQueue>
+template <typename Queue = SpcsBucketQueue>
 class SpcsThreadStateT {
  public:
   SpcsThreadStateT() : SpcsThreadStateT(nullptr) {}
@@ -186,6 +187,8 @@ class SpcsThreadStateT {
     }
 
     std::int64_t tm = -1;  // stopping criterion: max conn index settled at T
+    const std::uint32_t batch_from =
+        batch_fanout_threshold(opt.relax, opt.batch_min_edges);
 
     while (!heap_.empty()) {
       auto [id, packed] = heap_.pop();
@@ -335,9 +338,7 @@ class SpcsThreadStateT {
         return true;
       };
 
-      if (opt.relax != RelaxMode::kInterleaved &&
-          (opt.relax == RelaxMode::kBatchAlways ||
-           g.ttf_out_degree(v) >= opt.batch_min_edges)) {
+      if (g.ttf_out_degree(v) >= batch_from) {
         batch_.clear();
         for (std::uint32_t ei = eb; ei < ee; ++ei) {
           if (ei + 1 < ee) {
@@ -392,7 +393,7 @@ class SpcsThreadStateT {
   QueryStats stats_;
 };
 
-/// The default engine runs the paper's configuration: a binary heap.
+/// The default engine runs the served configuration: the bucket queue.
 using SpcsThreadState = SpcsThreadStateT<>;
 
 }  // namespace pconn

@@ -45,6 +45,8 @@ void TeTimeQueryT<Queue>::run(StationId source, Time departure,
   heap_.push(entry, departure + wait);
   stats_.pushed++;
 
+  const std::uint32_t batch_from =
+      batch_fanout_threshold(relax_.mode, relax_.batch_min_edges);
   Time target_best = kInfTime;
   while (!heap_.empty()) {
     if (target != kInvalidStation && heap_.top_key() >= target_best) break;
@@ -91,9 +93,7 @@ void TeTimeQueryT<Queue>::run(StationId source, Time departure,
       }
     };
 
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         edges.size() >= relax_.batch_min_edges)) {
+    if (edges.size() >= batch_from) {
       batch_.clear();
       for (std::size_t ei = 0; ei < edges.size(); ++ei) {
         if (ei + 1 < edges.size()) dist_.prefetch(edges[ei + 1].head);
@@ -122,10 +122,8 @@ Time TeTimeQueryT<Queue>::arrival_at(StationId s) const {
   return s < best_arrival_.size() ? best_arrival_.get(s) : kInfTime;
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class TeTimeQueryT<TimeBinaryQueue>;
-template class TeTimeQueryT<TimeQuaternaryQueue>;
-template class TeTimeQueryT<TimeLazyQueue>;
 template class TeTimeQueryT<TimeBucketQueue>;
 
 }  // namespace pconn

@@ -26,6 +26,8 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
   parent_.clear();
 
   const NodeId src = g_.station_node(source);
+  const std::uint32_t batch_from =
+      batch_fanout_threshold(relax_.mode, relax_.batch_min_edges);
   dist_.set(src, departure);
   heap_.push(src, departure);
   stats_.pushed++;
@@ -81,9 +83,7 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
       }
     };
 
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         g_.ttf_out_degree(v) >= relax_.batch_min_edges)) {
+    if (g_.ttf_out_degree(v) >= batch_from) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) dist_.prefetch(heads[ei + 1]);
@@ -139,10 +139,8 @@ NodeId TimeQueryT<Queue>::parent(NodeId v) const {
   return parent_.get(v);
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class TimeQueryT<TimeBinaryQueue>;
-template class TimeQueryT<TimeQuaternaryQueue>;
-template class TimeQueryT<TimeLazyQueue>;
 template class TimeQueryT<TimeBucketQueue>;
 
 }  // namespace pconn

@@ -24,7 +24,7 @@
 namespace pconn {
 
 /// Template over the scalar-time queue policy (queue_policy.hpp);
-/// definitions in time_query.cpp instantiate the four shipped policies.
+/// definitions in time_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
 class TimeQueryT {
  public:
@@ -51,8 +51,8 @@ class TimeQueryT {
   const QueryStats& stats() const { return stats_; }
 
   /// Relax-loop phasing (algo/relax_batch.hpp); results and accounting are
-  /// bit-identical in both modes. Defaults to batch (PCONN_NO_BATCH_RELAX
-  /// flips the process default); the setter exists for A/B measurement.
+  /// bit-identical in both modes. Defaults to batch; the setter exists
+  /// for A/B measurement.
   void set_relax_mode(RelaxMode m) { relax_.mode = m; }
   RelaxMode relax_mode() const { return relax_.mode; }
   /// Full relax configuration incl. the batch_min_edges runtime knob.

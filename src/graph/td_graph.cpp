@@ -8,7 +8,7 @@
 namespace pconn {
 
 TdGraph TdGraph::build(const Timetable& tt) {
-  return build(tt, TtfIndexOptions::from_env());
+  return build(tt, TtfIndexOptions{});
 }
 
 TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {

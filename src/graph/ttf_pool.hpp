@@ -62,10 +62,6 @@ struct TtfIndexOptions {
   /// Functions with fewer points keep a single bucket — no index, linear
   /// lower_bound scan from the first point. 5 is free (see above).
   std::uint32_t min_indexed_points = 5;
-
-  /// Defaults overridable via PCONN_TTF_BUCKET_DENSITY and
-  /// PCONN_TTF_MIN_INDEXED (per-network tuning without a rebuild).
-  static TtfIndexOptions from_env();
 };
 
 class TtfPool {
@@ -74,8 +70,7 @@ class TtfPool {
   /// times, not pool indices (mirrored by TdGraph's packed edge word).
   static constexpr std::uint32_t kConstFlag = 1u << 31;
 
-  explicit TtfPool(Time period = kDayseconds,
-                   TtfIndexOptions idx = TtfIndexOptions::from_env()) {
+  explicit TtfPool(Time period = kDayseconds, TtfIndexOptions idx = {}) {
     idx_ = idx;
     reset(period);
   }
@@ -175,16 +170,6 @@ class TtfPool {
   /// out[i] = arrival(f, ts[i]). Same dispatch as arrival_n.
   void arrival_tn(std::uint32_t f, const Time* ts, std::size_t n,
                   Time* out) const;
-
-  /// Batch evaluation, many (function, entry time) pairs:
-  /// out[i] = arrival_entry(entries[i], ts[i]) — the cross-query frontier
-  /// shape (algo/multi_query.hpp), where every pending edge carries the pop
-  /// key of its own query lane. The AVX2 kernel combines arrival_n's masked
-  /// metadata/point gathers with arrival_tn's per-lane reciprocal modulo
-  /// and a per-lane variable-shift bucket; bit-identical to the scalar
-  /// entry-by-entry loop (tests/ttf_test.cpp sweeps it like the others).
-  void arrival_ptn(const std::uint32_t* entries, const Time* ts, std::size_t n,
-                   Time* out) const;
 
   /// Sorted-batch evaluation, one function at ASCENDING entry times — the
   /// LC link shape (a reduced profile's arrivals are strictly increasing).
@@ -290,16 +275,12 @@ class TtfPool {
                         Time* out) const;
   void arrival_tn_scalar(std::uint32_t f, const Time* ts, std::size_t n,
                          Time* out) const;
-  void arrival_ptn_scalar(const std::uint32_t* entries, const Time* ts,
-                          std::size_t n, Time* out) const;
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
   void arrival_n_avx2(const std::uint32_t* entries, std::size_t n, Time t,
                       Time* out) const;
   void arrival_tn_avx2(std::uint32_t f, const Time* ts, std::size_t n,
                        Time* out) const;
-  void arrival_ptn_avx2(const std::uint32_t* entries, const Time* ts,
-                        std::size_t n, Time* out) const;
 #endif
 
   Time period_ = kDayseconds;

@@ -24,13 +24,12 @@
 
 namespace pconn {
 
-template <typename SpcsQueue = SpcsBinaryQueue,
+template <typename SpcsQueue = SpcsBucketQueue,
           typename TimeQueue = TimeBinaryQueue,
-          typename LcQueue = TimeBinaryQueue,
           typename McQueue = McBinaryQueue>
 class LiveQuerySessionT {
  public:
-  using Session = QuerySessionT<SpcsQueue, TimeQueue, LcQueue, McQueue>;
+  using Session = QuerySessionT<SpcsQueue, TimeQueue, McQueue>;
 
   explicit LiveQuerySessionT(const LiveOverlay& live,
                              QuerySessionOptions opt = {})

@@ -23,19 +23,19 @@ struct S2sOptions {
   bool table_pruning = true;    // Theorem 3 (needs a distance table)
   bool target_pruning = true;   // Theorem 4 (needs target in S_trans)
   bool prune_on_relax = false;  // see SpcsOptions::prune_on_relax
-  RelaxMode relax = default_relax_mode();  // see SpcsOptions::relax
-  std::uint32_t batch_min_edges = default_batch_min_edges();
+  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
+  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 /// Template over the SPCS queue policy (queue_policy.hpp); definitions in
-/// s2s_query.cpp instantiate the four shipped policies. `S2sQueryEngine`
-/// is the paper's binary-heap configuration.
+/// s2s_query.cpp instantiate the two shipped policies. `S2sQueryEngine`
+/// is the served bucket-queue configuration.
 ///
 /// All per-query scratch — the per-thread pruning hooks with their mu/gamma
 /// tables, the via-station DFS buffers and the raw merge profile — is
 /// engine-owned and reused, so a warm engine (held by a QuerySession)
 /// answers queries without heap allocations via query_into.
-template <typename Queue = SpcsBinaryQueue>
+template <typename Queue = SpcsBucketQueue>
 class S2sQueryEngineT {
  public:
   /// `dt` may be nullptr (no distance-table acceleration).

@@ -1,13 +1,15 @@
 // Lazy-deletion d-ary min-heap: no position map, no decrease-key.
 //
-// The addressable DAryHeap pays for decrease-key twice: a pos_ map of one
+// The addressable BinaryHeap pays for decrease-key twice: a pos_ map of one
 // word per id (the SPCS id space is |V| x |conn(S)| slots, so the map alone
 // dominates the queue's footprint) and a pos_ update on every slot move
 // during sift chains. When the caller can recognise stale entries at pop
 // time — SPCS and the time queries all can, via their settled/label arrays —
 // it is cheaper to push a fresh entry per improvement and discard outdated
-// pops. This is the classical "Dijkstra without decrease-key" trade
-// measured by bench_heap; docs/queues.md discusses when it wins.
+// pops — the classical "Dijkstra without decrease-key" trade. As an engine
+// policy it lost to the bucket queue everywhere (docs/queues.md); it stays
+// as the multi-criteria engine's multi-label heap (arity 2) and the
+// contraction's node-ordering queue (arity 4).
 //
 // The queue itself never detects staleness: callers filter pops (and count
 // them in QueryStats::stale_popped).
@@ -41,7 +43,7 @@ class LazyDAryHeap {
   explicit LazyDAryHeap(std::size_t capacity) { reset_capacity(capacity); }
 
   /// Id-space bookkeeping only: lazy heaps hold duplicates, so no per-id
-  /// state exists to size. Clears the heap (same contract as DAryHeap).
+  /// state exists to size. Clears the heap (same contract as BinaryHeap).
   void reset_capacity(std::size_t capacity) {
     capacity_ = capacity;
     slots_.clear();

@@ -4,15 +4,14 @@
 // byte-identical work accounting (settled, pushed, decreased, stale pops,
 // relaxed, pruning counters) to the interleaved seed loop.
 //
-// Both batch flavours are exercised: kBatch (the shipped adaptive mode,
-// phased only where the TTF fan-out clears kBatchRelaxMinEdges) and
-// kBatchAlways (the phased body on every settle — in the Pyrga graph model
-// route nodes carry a single travel function, so without forcing, the
-// SPCS/time/mc batch bodies would go untested).
+// Both batch configurations are exercised: the shipped adaptive threshold
+// (phased only where the TTF fan-out clears kBatchRelaxMinEdges) and
+// batch_min_edges = 0 (the phased body on every settle — in the Pyrga graph
+// model route nodes carry a single travel function, so without forcing,
+// the SPCS/time/mc batch bodies would go untested).
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "algo/lc_profile.hpp"
@@ -31,8 +30,9 @@
 namespace pconn {
 namespace {
 
-constexpr RelaxMode kBatchModes[] = {RelaxMode::kBatch,
-                                     RelaxMode::kBatchAlways};
+constexpr RelaxOptions kBatchConfigs[] = {
+    {.mode = RelaxMode::kBatch, .batch_min_edges = kBatchRelaxMinEdges},
+    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
 
 /// Same policy on both sides, so EVERY counter must agree — including the
 /// queue-shape ones the cross-policy tests exempt.
@@ -50,8 +50,9 @@ void expect_stats_eq(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.label_points, b.label_points) << what;
 }
 
-std::string mode_tag(QueueKind q, RelaxMode m) {
-  return std::string(queue_kind_name(q)) + "/" + relax_mode_name(m);
+std::string mode_tag(QueueKind q, const RelaxOptions& m) {
+  return std::string(queue_kind_name(q)) + "/" + relax_mode_name(m.mode) +
+         "/min" + std::to_string(m.batch_min_edges);
 }
 
 // ------------------------------------------------------------- session ---
@@ -74,20 +75,6 @@ TEST(BatchRelax, SessionAppliesRelaxOptionToEveryEngine) {
 }
 
 // ------------------------------------------- batch_min_edges knob (S3) ---
-
-// The env-var seed of the runtime threshold must reject garbage loudly
-// (by falling back to the compiled default) and accept any non-negative
-// decimal.
-TEST(BatchRelax, ParseBatchMinEdgesFallsBackOnGarbage) {
-  EXPECT_EQ(parse_batch_min_edges(nullptr), kBatchRelaxMinEdges);
-  EXPECT_EQ(parse_batch_min_edges(""), kBatchRelaxMinEdges);
-  EXPECT_EQ(parse_batch_min_edges("many"), kBatchRelaxMinEdges);
-  EXPECT_EQ(parse_batch_min_edges("12edges"), kBatchRelaxMinEdges);
-  EXPECT_EQ(parse_batch_min_edges("-3"), kBatchRelaxMinEdges);
-  EXPECT_EQ(parse_batch_min_edges("0"), 0u);
-  EXPECT_EQ(parse_batch_min_edges("5"), 5u);
-  EXPECT_EQ(parse_batch_min_edges("128"), 128u);
-}
 
 // The threshold only picks which of the two equivalent loop bodies runs:
 // any value — 0 (always phased), mid, huge (never phased) — must keep
@@ -147,10 +134,11 @@ TEST(BatchRelax, SpcsOneToAllEveryPolicy) {
     for (QueueKind qk : kAllQueueKinds) {
       with_spcs_queue(qk, [&](auto tag) {
         using Queue = typename decltype(tag)::type;
-        for (RelaxMode m : kBatchModes) {
+        for (const RelaxOptions& m : kBatchConfigs) {
           ParallelSpcsOptions oi, ob;
           oi.relax = RelaxMode::kInterleaved;
-          ob.relax = m;
+          ob.relax = m.mode;
+          ob.batch_min_edges = m.batch_min_edges;
           // prune_on_relax in one of the configurations: its pre-test runs
           // in the gather phase.
           oi.prune_on_relax = ob.prune_on_relax = (net == 1);
@@ -179,10 +167,11 @@ TEST(BatchRelax, SpcsStationToStationStoppingCriterion) {
   for (QueueKind qk : kAllQueueKinds) {
     with_spcs_queue(qk, [&](auto tag) {
       using Queue = typename decltype(tag)::type;
-      for (RelaxMode m : kBatchModes) {
+      for (const RelaxOptions& m : kBatchConfigs) {
         ParallelSpcsOptions oi, ob;
         oi.relax = RelaxMode::kInterleaved;
-        ob.relax = m;
+        ob.relax = m.mode;
+        ob.batch_min_edges = m.batch_min_edges;
         oi.threads = ob.threads = 2;
         ParallelSpcsT<Queue> inter(tt, g, oi), batch(tt, g, ob);
         for (int i = 0; i < 6; ++i) {
@@ -220,10 +209,11 @@ TEST(BatchRelax, S2sTablePruningEveryPolicy) {
   for (QueueKind qk : kAllQueueKinds) {
     with_spcs_queue(qk, [&](auto tag) {
       using Queue = typename decltype(tag)::type;
-      for (RelaxMode m : kBatchModes) {
+      for (const RelaxOptions& m : kBatchConfigs) {
         S2sOptions oi, ob;
         oi.relax = RelaxMode::kInterleaved;
-        ob.relax = m;
+        ob.relax = m.mode;
+        ob.batch_min_edges = m.batch_min_edges;
         S2sQueryEngineT<Queue> inter(tt, g, sg, &dt, oi);
         S2sQueryEngineT<Queue> batch(tt, g, sg, &dt, ob);
         for (auto [s, t] : queries) {
@@ -247,20 +237,12 @@ TEST(BatchRelax, TimeQueryEveryPolicy) {
   Timetable tt = test::small_city(34);
   TdGraph g = TdGraph::build(tt);
   for (QueueKind qk : kAllQueueKinds) {
-    with_spcs_queue(qk, [&](auto tag) {
-      // Map the SPCS policy selection onto the scalar-time policies.
-      using SpcsQ = typename decltype(tag)::type;
-      using Queue = std::conditional_t<
-          std::is_same_v<SpcsQ, SpcsBucketQueue>, TimeBucketQueue,
-          std::conditional_t<std::is_same_v<SpcsQ, SpcsLazyQueue>,
-                             TimeLazyQueue,
-                             std::conditional_t<
-                                 std::is_same_v<SpcsQ, SpcsQuaternaryQueue>,
-                                 TimeQuaternaryQueue, TimeBinaryQueue>>>;
+    with_time_queue(qk, [&](auto tag) {
+      using Queue = typename decltype(tag)::type;
       TimeQueryT<Queue> inter(tt, g), batch(tt, g);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchConfigs) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 10; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -292,19 +274,12 @@ TEST(BatchRelax, TeQueryEveryPolicy) {
   Timetable tt = test::small_city(35);
   TeGraph te = TeGraph::build(tt);
   for (QueueKind qk : kAllQueueKinds) {
-    with_spcs_queue(qk, [&](auto tag) {
-      using SpcsQ = typename decltype(tag)::type;
-      using Queue = std::conditional_t<
-          std::is_same_v<SpcsQ, SpcsBucketQueue>, TimeBucketQueue,
-          std::conditional_t<std::is_same_v<SpcsQ, SpcsLazyQueue>,
-                             TimeLazyQueue,
-                             std::conditional_t<
-                                 std::is_same_v<SpcsQ, SpcsQuaternaryQueue>,
-                                 TimeQuaternaryQueue, TimeBinaryQueue>>>;
+    with_time_queue(qk, [&](auto tag) {
+      using Queue = typename decltype(tag)::type;
       TeTimeQueryT<Queue> inter(te), batch(te);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchConfigs) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 8; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -334,8 +309,8 @@ TEST(BatchRelax, McQueryEveryPolicy) {
       using Queue = typename decltype(tag)::type;
       McTimeQueryT<Queue> inter(tt, g), batch(tt, g);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchConfigs) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 6; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -360,35 +335,25 @@ TEST(BatchRelax, McQueryEveryPolicy) {
 
 // ----------------------------------------------------------------- LC ---
 
-TEST(BatchRelax, LcEveryHeapPolicy) {
-  Rng rng(65);
+// LC batches over the label profile at any fan-out (it has no
+// batch_min_edges), so kBatch is its one batch configuration.
+TEST(BatchRelax, LcBinaryHeap) {
   for (int net = 0; net < 2; ++net) {
     Timetable tt =
         net == 0 ? test::small_city(37) : test::small_railway(38);
     TdGraph g = TdGraph::build(tt);
-    auto run_policy = [&](auto tag) {
-      using Queue = typename decltype(tag)::type;
-      LcProfileQueryT<Queue> inter(tt, g), batch(tt, g);
-      inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
-        for (StationId s = 0; s < tt.num_stations(); s += 4) {
-          inter.run(s);
-          batch.run(s);
-          const std::string what =
-              std::string("lc/") + relax_mode_name(m) + " src " +
-              std::to_string(s);
-          expect_stats_eq(inter.stats(), batch.stats(), what);
-          for (StationId v = 0; v < tt.num_stations(); ++v) {
-            EXPECT_EQ(inter.profile(v), batch.profile(v))
-                << what << " @" << v;
-          }
-        }
+    LcProfileQuery inter(tt, g), batch(tt, g);
+    inter.set_relax_mode(RelaxMode::kInterleaved);
+    batch.set_relax_mode(RelaxMode::kBatch);
+    for (StationId s = 0; s < tt.num_stations(); s += 4) {
+      inter.run(s);
+      batch.run(s);
+      const std::string what = "lc/batch src " + std::to_string(s);
+      expect_stats_eq(inter.stats(), batch.stats(), what);
+      for (StationId v = 0; v < tt.num_stations(); ++v) {
+        EXPECT_EQ(inter.profile(v), batch.profile(v)) << what << " @" << v;
       }
-    };
-    run_policy(std::type_identity<TimeBinaryQueue>{});
-    run_policy(std::type_identity<TimeQuaternaryQueue>{});
-    run_policy(std::type_identity<TimeLazyQueue>{});
+    }
   }
 }
 

@@ -113,12 +113,12 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
 /// Dijkstra + downward sweep) must equal the flat engine at EVERY node.
 template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
-                          const OverlayGraph& ov, RelaxMode mode,
+                          const OverlayGraph& ov, RelaxOptions mode,
                           std::uint64_t seed, int queries) {
   TimeQueryT<Queue> flat(tt, g);
   OverlayTimeQueryT<Queue> over(tt, g, ov);
-  flat.set_relax_mode(mode);
-  over.set_relax_mode(mode);
+  flat.set_relax_options(mode);
+  over.set_relax_options(mode);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -130,17 +130,16 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
           << "node " << v << " source " << s << " dep " << dep << " mode "
-          << relax_mode_name(mode);
+          << relax_mode_name(mode.mode) << " min " << mode.batch_min_edges;
     }
   }
 }
 
-template <typename Queue>
 void expect_lc_identity(const Timetable& tt, const TdGraph& g,
                         const OverlayGraph& ov, RelaxMode mode,
                         std::uint64_t seed, int queries) {
-  LcProfileQueryT<Queue> flat(tt, g);
-  OverlayLcProfileQueryT<Queue> over(tt, ov);
+  LcProfileQuery flat(tt, g);
+  OverlayLcProfileQuery over(tt, ov);
   flat.set_relax_mode(mode);
   over.set_relax_mode(mode);
   Rng rng(seed);
@@ -174,21 +173,21 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
     }
   }
 
-  for (const RelaxMode mode :
-       {RelaxMode::kInterleaved, RelaxMode::kBatch, RelaxMode::kBatchAlways}) {
+  // Interleaved, the shipped adaptive batch, and batch on every settle
+  // (batch_min_edges = 0).
+  for (const RelaxOptions mode :
+       {RelaxOptions{.mode = RelaxMode::kInterleaved},
+        RelaxOptions{.mode = RelaxMode::kBatch},
+        RelaxOptions{.mode = RelaxMode::kBatch, .batch_min_edges = 0}}) {
     expect_time_identity<TimeBinaryQueue>(tt, g, ov, mode, seed, 3);
-    expect_lc_identity<TimeBinaryQueue>(tt, g, ov, mode, seed + 1, 2);
   }
-  // Remaining queue policies on the default mode.
-  expect_time_identity<TimeQuaternaryQueue>(tt, g, ov, RelaxMode::kBatch,
-                                            seed + 2, 2);
-  expect_time_identity<TimeLazyQueue>(tt, g, ov, RelaxMode::kBatch, seed + 3,
-                                      2);
-  expect_time_identity<TimeBucketQueue>(tt, g, ov, RelaxMode::kBatch, seed + 4,
+  // LC batches at any fan-out: its two modes are interleaved and batch.
+  for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
+    expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
+  }
+  // The bucket policy on the default mode.
+  expect_time_identity<TimeBucketQueue>(tt, g, ov, RelaxOptions{}, seed + 4,
                                         2);
-  expect_lc_identity<TimeQuaternaryQueue>(tt, g, ov, RelaxMode::kBatch,
-                                          seed + 5, 2);
-  expect_lc_identity<TimeLazyQueue>(tt, g, ov, RelaxMode::kBatch, seed + 6, 2);
 }
 
 TEST(ContractionOverlay, TinyLineIdentity) {
@@ -260,7 +259,7 @@ TEST(ContractionOverlay, BatchModeAccountingMatchesInterleaved) {
   OverlayTimeQuery inter(tt, g, ov), batch(tt, g, ov), always(tt, g, ov);
   inter.set_relax_mode(RelaxMode::kInterleaved);
   batch.set_relax_mode(RelaxMode::kBatch);
-  always.set_relax_mode(RelaxMode::kBatchAlways);
+  always.set_relax_options({.mode = RelaxMode::kBatch, .batch_min_edges = 0});
   Rng rng(88);
   for (int i = 0; i < 6; ++i) {
     const StationId s =

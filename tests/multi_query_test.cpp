@@ -1,17 +1,14 @@
 // Differential tests for the throughput-mode multi-query engines
-// (algo/multi_query.hpp): a batch of K concurrent searches advanced
-// through the shared function-grouped frontier must be byte-identical —
-// every lane's distances, parents and work accounting — to a loop of warm
-// per-query engines over the same query stream, for every queue policy,
-// every RelaxMode, K in {1, 4, 32}, on the flat graph AND the contraction
+// (algo/multi_query.hpp): a batch of K searches over sharded lane state
+// must be byte-identical — every lane's distances, parents and work
+// accounting — to a loop of warm per-query engines over the same query
+// stream, for both queue policies, interleaved / adaptive batch / batch on
+// every settle, K in {1, 4, 32}, on the flat graph AND the contraction
 // overlay. Plus the workspace guarantee: a warm run_batch() of the same
-// batch shape performs zero heap allocations (this TU replaces the global
-// operator new/delete with counters, like tests/session_test.cpp).
+// batch shape performs zero heap allocations (alloc_guard.hpp's global
+// operator new/delete counters).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -20,62 +17,25 @@
 #include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
 #include "algo/time_query.hpp"
+#include "alloc_guard.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counters (see tests/session_test.cpp for the pattern).
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
-constexpr RelaxMode kAllModes[] = {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                   RelaxMode::kBatchAlways};
+/// Interleaved, the shipped adaptive batch, and batch on every settle.
+constexpr RelaxOptions kAllModes[] = {
+    {.mode = RelaxMode::kInterleaved},
+    {.mode = RelaxMode::kBatch},
+    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
+
+std::string relax_tag(const RelaxOptions& m) {
+  return std::string(relax_mode_name(m.mode)) + "/min" +
+         std::to_string(m.batch_min_edges);
+}
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
 
 void expect_stats_eq(const QueryStats& a, const QueryStats& b,
@@ -113,9 +73,9 @@ TEST(MultiQuery, FlatMatchesPerQueryEveryPolicyModeAndBatchSize) {
       using Queue = typename decltype(tag)::type;
       MultiQueryTimeEngineT<Queue> multi(tt, g);
       TimeQueryT<Queue> per(tt, g);  // warm across the whole stream
-      for (RelaxMode m : kAllModes) {
-        multi.set_relax_mode(m);
-        per.set_relax_mode(m);
+      for (const RelaxOptions& m : kAllModes) {
+        multi.set_relax_options(m);
+        per.set_relax_options(m);
         for (std::size_t k : kBatchSizes) {
           const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
           multi.run(qs);
@@ -124,7 +84,7 @@ TEST(MultiQuery, FlatMatchesPerQueryEveryPolicyModeAndBatchSize) {
             per.run(qs[q].source, qs[q].departure, qs[q].target);
             const std::string what = std::string("flat ") +
                                      queue_kind_name(qk) + "/" +
-                                     relax_mode_name(m) + " K=" +
+                                     relax_tag(m) + " K=" +
                                      std::to_string(k) + " lane " +
                                      std::to_string(q);
             expect_stats_eq(per.stats(), multi.stats(q), what);
@@ -153,9 +113,9 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
       using Queue = typename decltype(tag)::type;
       MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
       OverlayTimeQueryT<Queue> per(tt, g, ov);
-      for (RelaxMode m : kAllModes) {
-        multi.set_relax_mode(m);
-        per.set_relax_mode(m);
+      for (const RelaxOptions& m : kAllModes) {
+        multi.set_relax_options(m);
+        per.set_relax_options(m);
         for (std::size_t k : kBatchSizes) {
           const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
           multi.run(qs);
@@ -170,7 +130,7 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
             }
             const std::string what = std::string("overlay ") +
                                      queue_kind_name(qk) + "/" +
-                                     relax_mode_name(m) + " K=" +
+                                     relax_tag(m) + " K=" +
                                      std::to_string(k) + " lane " +
                                      std::to_string(q);
             expect_stats_eq(per.stats(), multi.stats(q), what);
@@ -338,8 +298,8 @@ TEST(MultiQuery, TableModeRestoresFullTracking) {
 }
 
 // Zero-allocation guarantee: after warm-up, run_batch / the matrix
-// workloads of the same batch shape allocate nothing — all lane state and
-// the shared frontier live in the session workspace.
+// workloads of the same batch shape allocate nothing — all lane state
+// lives in the session workspace.
 TEST(MultiQuery, WarmRunBatchDoesNotAllocate) {
   Timetable tt = test::small_city(45);
   TdGraph g = TdGraph::build(tt);

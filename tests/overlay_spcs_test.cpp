@@ -1,13 +1,16 @@
 // Overlay-routed parallel SPCS correctness (algo/overlay_spcs.hpp):
 //  * differential overlay-vs-flat byte-identity of the reduced profile
-//    fronts at EVERY station across {1, 2, 8} threads x 4 queue policies
-//    x 3 RelaxModes, and at EVERY flat node after the batched down-sweep;
-//  * accounting discipline: overlay stats identical across RelaxModes
+//    fronts at EVERY station across {1, 2, 8} threads x 2 queue policies
+//    x 3 relax configurations (interleaved, adaptive batch, batch on every
+//    settle), and at EVERY flat node after the batched down-sweep;
+//  * accounting discipline: overlay stats identical across relax modes
 //    (including the scalar-vs-batched sweep), settled/pruned/relaxed
 //    identical across queue policies, sweep idempotency;
 //  * thread-count determinism of the overlay profiles;
 //  * station-to-station with the stopping criterion.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "algo/contraction.hpp"
 #include "algo/overlay_spcs.hpp"
@@ -17,10 +20,23 @@
 namespace pconn {
 namespace {
 
-ParallelSpcsOptions spcs_opts(unsigned threads, RelaxMode mode) {
+/// Interleaved, the shipped adaptive batch, and batch on every settle.
+constexpr RelaxOptions kInterleaved{.mode = RelaxMode::kInterleaved};
+constexpr RelaxOptions kBatch{.mode = RelaxMode::kBatch};
+constexpr RelaxOptions kBatchEverySettle{.mode = RelaxMode::kBatch,
+                                         .batch_min_edges = 0};
+constexpr RelaxOptions kAllRelax[] = {kInterleaved, kBatch, kBatchEverySettle};
+
+std::string relax_tag(const RelaxOptions& m) {
+  return std::string(relax_mode_name(m.mode)) + "/min" +
+         std::to_string(m.batch_min_edges);
+}
+
+ParallelSpcsOptions spcs_opts(unsigned threads, const RelaxOptions& mode) {
   ParallelSpcsOptions o;
   o.threads = threads;
-  o.relax = mode;
+  o.relax = mode.mode;
+  o.batch_min_edges = mode.batch_min_edges;
   return o;
 }
 
@@ -42,7 +58,7 @@ std::vector<StationId> pick_sources(const Timetable& tt, std::uint64_t seed,
 template <typename Queue>
 void expect_station_identity(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov, unsigned threads,
-                             RelaxMode mode, std::uint64_t seed) {
+                             const RelaxOptions& mode, std::uint64_t seed) {
   ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, mode));
   OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, mode));
   for (const StationId s : pick_sources(tt, seed, 2)) {
@@ -52,7 +68,7 @@ void expect_station_identity(const Timetable& tt, const TdGraph& g,
     for (StationId v = 0; v < tt.num_stations(); ++v) {
       ASSERT_EQ(ro.profiles[v], rf.profiles[v])
           << "station " << v << " source " << s << " threads " << threads
-          << " mode " << relax_mode_name(mode);
+          << " mode " << relax_tag(mode);
     }
   }
 }
@@ -63,13 +79,9 @@ TEST(OverlaySpcs, StationIdentityAcrossThreadsPoliciesModes) {
   const OverlayGraph ov = contract_graph(tt, g);
   std::uint64_t seed = 9000;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                 RelaxMode::kBatchAlways}) {
+    for (const RelaxOptions& mode : kAllRelax) {
       expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, mode,
                                                seed++);
-      expect_station_identity<SpcsQuaternaryQueue>(tt, g, ov, threads, mode,
-                                                   seed++);
-      expect_station_identity<SpcsLazyQueue>(tt, g, ov, threads, mode, seed++);
       expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, mode,
                                                seed++);
     }
@@ -81,24 +93,24 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
     const Timetable tt = test::tiny_line();
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, RelaxMode::kBatch,
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, kBatch,
                                              10001);
   }
   {
     const Timetable tt = test::small_railway(42);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, RelaxMode::kBatch,
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, kBatch,
                                              10002);
     expect_station_identity<SpcsBucketQueue>(tt, g, ov, 8,
-                                             RelaxMode::kInterleaved, 10003);
+                                             kInterleaved, 10003);
   }
   Rng rng(777);
   for (int iter = 0; iter < 3; ++iter) {
     const Timetable tt = test::random_timetable(rng, 12, 8, 4);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, RelaxMode::kBatch,
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, kBatch,
                                              11000 + iter);
   }
 }
@@ -109,7 +121,7 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
 template <typename Queue>
 void expect_node_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, unsigned threads,
-                          RelaxMode mode, StationId s) {
+                          const RelaxOptions& mode, StationId s) {
   ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, mode));
   OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, mode));
   flat.one_to_all(s);
@@ -119,7 +131,7 @@ void expect_node_identity(const Timetable& tt, const TdGraph& g,
     ASSERT_EQ(over.node_profile(s, v), flat.node_profile(s, v))
         << "node " << v << (ov.is_core(v) ? " (core)" : " (contracted)")
         << " source " << s << " threads " << threads << " mode "
-        << relax_mode_name(mode);
+        << relax_tag(mode);
   }
 }
 
@@ -131,11 +143,11 @@ TEST(OverlaySpcs, NodeIdentityAfterSweep) {
   const StationId s = 3 % tt.num_stations();
   for (const unsigned threads : {1u, 2u, 8u}) {
     expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads,
-                                          RelaxMode::kInterleaved, s);
-    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, RelaxMode::kBatch,
+                                          kInterleaved, s);
+    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, kBatch,
                                           s);
   }
-  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, RelaxMode::kBatchAlways,
+  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, kBatchEverySettle,
                                         s);
 }
 
@@ -164,8 +176,7 @@ TEST(OverlaySpcs, AccountingIdenticalAcrossRelaxModes) {
   for (const unsigned threads : {1u, 2u}) {
     QueryStats base{};
     bool first = true;
-    for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                 RelaxMode::kBatchAlways}) {
+    for (const RelaxOptions& mode : kAllRelax) {
       OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov,
                                                  spcs_opts(threads, mode));
       over.one_to_all(s);
@@ -175,7 +186,7 @@ TEST(OverlaySpcs, AccountingIdenticalAcrossRelaxModes) {
         base = st;
         first = false;
       } else {
-        expect_same_work(base, st, relax_mode_name(mode));
+        expect_same_work(base, st, relax_tag(mode).c_str());
       }
     }
   }
@@ -190,23 +201,19 @@ TEST(OverlaySpcs, SettleAccountingIdenticalAcrossQueuePolicies) {
   const StationId s = 2 % tt.num_stations();
   const auto run = [&](auto tag) {
     using Queue = decltype(tag);
-    OverlayParallelSpcsT<Queue> over(tt, g, ov,
-                                     spcs_opts(2, RelaxMode::kBatch));
+    OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(2, kBatch));
     over.one_to_all(s);
     over.settle_contracted();
     return over.accumulated_stats();
   };
   const QueryStats bin = run(SpcsBinaryQueue{});
-  for (const QueryStats& st :
-       {run(SpcsQuaternaryQueue{}), run(SpcsLazyQueue{}),
-        run(SpcsBucketQueue{})}) {
-    // Same discipline as the flat cross-policy test
-    // (tests/queue_policy_test.cpp): settled and self-pruned items are
-    // policy-invariant; `relaxed` may jitter by equal-composite-key pop
-    // order, and queue-shape counters differ by design.
-    EXPECT_EQ(bin.settled, st.settled);
-    EXPECT_EQ(bin.self_pruned, st.self_pruned);
-  }
+  const QueryStats st = run(SpcsBucketQueue{});
+  // Same discipline as the flat cross-policy test
+  // (tests/queue_policy_test.cpp): settled and self-pruned items are
+  // policy-invariant; `relaxed` may jitter by equal-composite-key pop
+  // order, and queue-shape counters differ by design.
+  EXPECT_EQ(bin.settled, st.settled);
+  EXPECT_EQ(bin.self_pruned, st.self_pruned);
 }
 
 TEST(OverlaySpcs, SweepIsIdempotent) {
@@ -214,7 +221,7 @@ TEST(OverlaySpcs, SweepIsIdempotent) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov,
-                                             spcs_opts(2, RelaxMode::kBatch));
+                                             spcs_opts(2, kBatch));
   const StationId s = 0;
   over.one_to_all(s);
   over.settle_contracted();
@@ -233,11 +240,11 @@ TEST(OverlaySpcs, ProfilesDeterministicAcrossThreadCounts) {
   const OverlayGraph ov = contract_graph(tt, g);
   const StationId s = 4 % tt.num_stations();
   OverlayParallelSpcsT<SpcsBinaryQueue> one(tt, g, ov,
-                                            spcs_opts(1, RelaxMode::kBatch));
+                                            spcs_opts(1, kBatch));
   OverlayParallelSpcsT<SpcsBinaryQueue> two(tt, g, ov,
-                                            spcs_opts(2, RelaxMode::kBatch));
+                                            spcs_opts(2, kBatch));
   OverlayParallelSpcsT<SpcsBinaryQueue> eight(tt, g, ov,
-                                              spcs_opts(8, RelaxMode::kBatch));
+                                              spcs_opts(8, kBatch));
   const OneToAllResult r1 = one.one_to_all(s);
   const OneToAllResult r2 = two.one_to_all(s);
   const OneToAllResult r8 = eight.one_to_all(s);
@@ -264,9 +271,9 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
   const OverlayGraph ov = contract_graph(tt, g);
   for (const unsigned threads : {1u, 2u, 8u}) {
     ParallelSpcsT<SpcsBinaryQueue> flat(tt, g,
-                                        spcs_opts(threads, RelaxMode::kBatch));
+                                        spcs_opts(threads, kBatch));
     OverlayParallelSpcsT<SpcsBinaryQueue> over(
-        tt, g, ov, spcs_opts(threads, RelaxMode::kBatch));
+        tt, g, ov, spcs_opts(threads, kBatch));
     Rng rng(1200 + threads);
     for (int i = 0; i < 4; ++i) {
       const StationId s =

@@ -1,23 +1,27 @@
-// Differential tests for the pluggable queue policies (queue_policy.hpp):
-// every policy must drive every engine to byte-identical results.
+// Differential tests for the two queue policies (queue_policy.hpp): the
+// bucket queue must drive every engine that offers it to the binary heap's
+// results, byte for byte.
 //
-//  * A randomized monotone operation-sequence harness compares all four
-//    SPCS policies pop-by-pop against a shadow model (unique keys, so the
+//  * A randomized monotone operation-sequence harness compares both SPCS
+//    policies pop-by-pop against a shadow model (unique keys, so the
 //    valid-pop sequence is fully determined).
 //  * Full SPCS one-to-all queries on generated networks of three sizes and
 //    50+ random sources: identical profiles AND identical settled /
-//    self-pruned / relaxed accounting for every policy (only queue-shape
-//    counters — pushed / decreased / stale_popped — may differ).
+//    self-pruned accounting (queue-shape counters — pushed / decreased /
+//    stale_popped — differ by design).
 //  * Station-to-station queries with stopping criterion, distance-table and
 //    target pruning (the ancestor-tracking hook): identical profiles.
-//  * TimeQuery / TeTimeQuery / LC under every applicable policy.
+//  * All-to-one profiles, TimeQuery, the overlay time query, TeTimeQuery
+//    and the multi-criteria Pareto fronts under both policies.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
-#include "algo/lc_profile.hpp"
+#include "algo/all_to_one.hpp"
+#include "algo/contraction.hpp"
+#include "algo/mc_query.hpp"
+#include "algo/overlay_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/queue_policy.hpp"
 #include "algo/te_query.hpp"
@@ -114,11 +118,7 @@ TEST(QueuePolicyOps, AllPoliciesPopIdentically) {
   for (auto [seed, ids, rounds] :
        {std::tuple{11u, 64u, 400}, {12u, 512u, 3000}, {13u, 4096u, 8000}}) {
     auto binary = drive_policy<SpcsBinaryQueue>(seed, ids, rounds);
-    auto quaternary = drive_policy<SpcsQuaternaryQueue>(seed, ids, rounds);
-    auto lazy = drive_policy<SpcsLazyQueue>(seed, ids, rounds);
     auto bucket = drive_policy<SpcsBucketQueue>(seed, ids, rounds);
-    EXPECT_EQ(binary, quaternary) << "seed " << seed;
-    EXPECT_EQ(binary, lazy) << "seed " << seed;
     EXPECT_EQ(binary, bucket) << "seed " << seed;
     EXPECT_FALSE(binary.empty());
   }
@@ -171,8 +171,8 @@ void expect_same_search(const SpcsRun& a, const SpcsRun& b,
   }
   // Settling accounting must be byte-identical across policies; the
   // queue-shape counters (pushed / decreased / stale_popped) differ by
-  // design, and `relaxed` may jitter by equal-composite-key pop order
-  // (even binary vs 4-ary): whichever of two same-key items settles first
+  // design, and `relaxed` may jitter by equal-composite-key pop order:
+  // whichever of two same-key items settles first
   // suppresses the other's relaxation attempt towards it.
   EXPECT_EQ(a.stats.settled, b.stats.settled) << what;
   EXPECT_EQ(a.stats.self_pruned, b.stats.self_pruned) << what;
@@ -201,12 +201,6 @@ TEST(QueuePolicySpcs, OneToAllIdenticalAcrossPoliciesAndSizes) {
                                std::to_string(s) + ", p=" +
                                std::to_string(threads);
       auto binary = run_one_to_all<SpcsBinaryQueue>(tt, g, s, threads);
-      expect_same_search(
-          binary, run_one_to_all<SpcsQuaternaryQueue>(tt, g, s, threads),
-          what + " [quaternary]");
-      auto lazy = run_one_to_all<SpcsLazyQueue>(tt, g, s, threads);
-      expect_same_search(binary, lazy, what + " [lazy]");
-      EXPECT_EQ(lazy.stats.decreased, 0u) << what;
       auto bucket = run_one_to_all<SpcsBucketQueue>(tt, g, s, threads);
       expect_same_search(binary, bucket, what + " [bucket]");
       EXPECT_EQ(bucket.stats.decreased, 0u) << what;
@@ -231,16 +225,10 @@ TEST(QueuePolicySpcs, StationToStationWithTablePruningIdenticalProfiles) {
     StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
     StationId t = static_cast<StationId>(rng.next_below(tt.num_stations()));
     S2sQueryEngineT<SpcsBinaryQueue> binary(tt, g, sg, &dt, so);
-    S2sQueryEngineT<SpcsQuaternaryQueue> quaternary(tt, g, sg, &dt, so);
-    S2sQueryEngineT<SpcsLazyQueue> lazy(tt, g, sg, &dt, so);
     S2sQueryEngineT<SpcsBucketQueue> bucket(tt, g, sg, &dt, so);
     const Profile expect = binary.query(s, t).profile;
     const std::string what =
         "s2s " + std::to_string(s) + " -> " + std::to_string(t);
-    test::expect_same_function(expect, quaternary.query(s, t).profile,
-                               tt.period(), what + " [quaternary]");
-    test::expect_same_function(expect, lazy.query(s, t).profile, tt.period(),
-                               what + " [lazy]");
     test::expect_same_function(expect, bucket.query(s, t).profile, tt.period(),
                                what + " [bucket]");
   }
@@ -250,25 +238,18 @@ TEST(QueuePolicyTimeQuery, AllPoliciesAgree) {
   Timetable tt = test::small_city(3);
   TdGraph g = TdGraph::build(tt);
   TimeQueryT<TimeBinaryQueue> binary(tt, g);
-  TimeQueryT<TimeQuaternaryQueue> quaternary(tt, g);
-  TimeQueryT<TimeLazyQueue> lazy(tt, g);
   TimeQueryT<TimeBucketQueue> bucket(tt, g);
   Rng rng(17);
   for (int i = 0; i < 20; ++i) {
     StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
     Time tau = static_cast<Time>(rng.next_below(tt.period()));
     binary.run(s, tau);
-    quaternary.run(s, tau);
-    lazy.run(s, tau);
     bucket.run(s, tau);
     for (StationId v = 0; v < tt.num_stations(); ++v) {
-      EXPECT_EQ(binary.arrival_at(v), quaternary.arrival_at(v));
-      EXPECT_EQ(binary.arrival_at(v), lazy.arrival_at(v));
       EXPECT_EQ(binary.arrival_at(v), bucket.arrival_at(v));
     }
     // Without a target every reachable node settles exactly once under
     // every policy.
-    EXPECT_EQ(binary.stats().settled, lazy.stats().settled);
     EXPECT_EQ(binary.stats().settled, bucket.stats().settled);
     EXPECT_EQ(binary.stats().stale_popped, 0u);
   }
@@ -278,45 +259,79 @@ TEST(QueuePolicyTeQuery, AllPoliciesAgree) {
   Timetable tt = test::small_city(4);
   TeGraph g = TeGraph::build(tt);
   TeTimeQueryT<TimeBinaryQueue> binary(g);
-  TeTimeQueryT<TimeQuaternaryQueue> quaternary(g);
-  TeTimeQueryT<TimeLazyQueue> lazy(g);
   TeTimeQueryT<TimeBucketQueue> bucket(g);
   Rng rng(23);
   for (int i = 0; i < 12; ++i) {
     StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
     Time tau = static_cast<Time>(rng.next_below(tt.period()));
     binary.run(s, tau);
-    quaternary.run(s, tau);
-    lazy.run(s, tau);
     bucket.run(s, tau);
     for (StationId v = 0; v < tt.num_stations(); ++v) {
-      EXPECT_EQ(binary.arrival_at(v), quaternary.arrival_at(v));
-      EXPECT_EQ(binary.arrival_at(v), lazy.arrival_at(v));
       EXPECT_EQ(binary.arrival_at(v), bucket.arrival_at(v));
     }
   }
 }
 
-TEST(QueuePolicyLc, HeapPoliciesConvergeToSameProfiles) {
-  Timetable tt = test::small_city(8);
+TEST(QueuePolicyOverlayTimeQuery, BothPoliciesAgree) {
+  Timetable tt = test::small_city(12);
   TdGraph g = TdGraph::build(tt);
-  LcProfileQueryT<TimeBinaryQueue> binary(tt, g);
-  LcProfileQueryT<TimeQuaternaryQueue> quaternary(tt, g);
-  LcProfileQueryT<TimeLazyQueue> lazy(tt, g);
-  Rng rng(29);
-  for (int i = 0; i < 6; ++i) {
+  const OverlayGraph ov = contract_graph(tt, g);
+  OverlayTimeQueryT<TimeBinaryQueue> binary(tt, g, ov);
+  OverlayTimeQueryT<TimeBucketQueue> bucket(tt, g, ov);
+  Rng rng(19);
+  for (int i = 0; i < 12; ++i) {
     StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
-    binary.run(s);
-    quaternary.run(s);
-    lazy.run(s);
-    for (StationId v = 0; v < tt.num_stations(); ++v) {
-      // Label-correcting settle order is tie-dependent, but the fixpoint
-      // is not: final profiles must agree exactly.
-      test::expect_same_function(binary.profile(v), quaternary.profile(v),
-                                 tt.period(), "LC quaternary");
-      test::expect_same_function(binary.profile(v), lazy.profile(v),
-                                 tt.period(), "LC lazy");
+    Time tau = static_cast<Time>(rng.next_below(tt.period()));
+    binary.run(s, tau);
+    bucket.run(s, tau);
+    binary.settle_contracted();
+    bucket.settle_contracted();
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(binary.arrival_at_node(v), bucket.arrival_at_node(v))
+          << "source " << s << " node " << v;
     }
+    EXPECT_EQ(binary.stats().settled, bucket.stats().settled);
+  }
+}
+
+TEST(QueuePolicyAllToOne, BothPoliciesAgree) {
+  Timetable tt = test::small_city(13);
+  ParallelSpcsOptions opt;
+  opt.threads = 2;
+  AllToOneProfilesT<SpcsBinaryQueue> binary(tt, opt);
+  AllToOneProfilesT<SpcsBucketQueue> bucket(tt, opt);
+  for (StationId t = 0; t < tt.num_stations(); t += 5) {
+    const OneToAllResult rb = binary.all_to_one(t);
+    const OneToAllResult rk = bucket.all_to_one(t);
+    ASSERT_EQ(rb.profiles.size(), rk.profiles.size());
+    for (StationId s = 0; s < rb.profiles.size(); ++s) {
+      EXPECT_EQ(rb.profiles[s], rk.profiles[s]) << s << " -> " << t;
+    }
+    EXPECT_EQ(rb.stats.settled, rk.stats.settled) << "target " << t;
+    EXPECT_EQ(rb.stats.self_pruned, rk.stats.self_pruned) << "target " << t;
+  }
+}
+
+TEST(QueuePolicyMcQuery, BothPoliciesAgree) {
+  Timetable tt = test::small_city(14);
+  TdGraph g = TdGraph::build(tt);
+  McTimeQueryT<McBinaryQueue> binary(tt, g);
+  McTimeQueryT<McBucketQueue> bucket(tt, g);
+  Rng rng(37);
+  for (int i = 0; i < 8; ++i) {
+    StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
+    Time tau = static_cast<Time>(rng.next_below(tt.period()));
+    binary.run(s, tau);
+    bucket.run(s, tau);
+    for (StationId v = 0; v < tt.num_stations(); ++v) {
+      const auto fb = binary.pareto(v);
+      const auto fk = bucket.pareto(v);
+      ASSERT_EQ(fb.size(), fk.size()) << "source " << s << " station " << v;
+      for (std::size_t l = 0; l < fb.size(); ++l) {
+        EXPECT_EQ(fb[l], fk[l]) << "source " << s << " station " << v;
+      }
+    }
+    EXPECT_EQ(binary.stats().settled, bucket.stats().settled);
   }
 }
 

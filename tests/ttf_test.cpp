@@ -264,59 +264,6 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   }
 }
 
-// The cross-query frontier kernel: per-lane function AND per-lane entry
-// time. Mixed batches (constants, empty functions, lanes spanning several
-// periods) must agree with the per-entry scalar evaluation everywhere, at
-// every batch size around the 8-lane vector boundary.
-TEST(TtfPool, VectorArrivalPtnMatchesScalarPerSecond) {
-  Rng rng(987);
-  const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPool pool(period);
-  std::vector<std::uint32_t> funcs;
-  for (int f = 0; f < 24; ++f) {
-    std::vector<TtfPoint> pts;
-    const std::size_t n = rng.next_below(12);  // 0 = empty function
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(1 + rng.next_below(3 * period))});
-    }
-    funcs.push_back(pool.add(Ttf::build(std::move(pts), period)));
-  }
-  // Sizes around the 8-lane dispatch boundary plus wide frontier shapes.
-  for (std::size_t n : {1u, 5u, 7u, 8u, 9u, 16u, 33u, 128u}) {
-    std::vector<std::uint32_t> entries(n);
-    std::vector<Time> ts(n), out(n);
-    for (int round = 0; round < 50; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        entries[i] = (rng.next_below(3) == 0)
-                         ? TtfPool::kConstFlag |
-                               static_cast<std::uint32_t>(rng.next_below(7200))
-                         : funcs[rng.next_below(funcs.size())];
-        ts[i] = static_cast<Time>(rng.next_below(3 * period));
-      }
-      pool.arrival_ptn(entries.data(), ts.data(), n, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], pool.arrival_entry(entries[i], ts[i]))
-            << "entry " << i << " n=" << n << " t=" << ts[i];
-      }
-    }
-  }
-  // Dense sweep: one lane per second of two periods, lane i's function
-  // cycling through the pool — every (function, residue) pair crosses the
-  // per-lane modulo and variable-shift bucket lookup.
-  std::vector<std::uint32_t> entries;
-  std::vector<Time> ts;
-  for (Time t = 0; t < 2 * period; ++t) {
-    entries.push_back(funcs[static_cast<std::size_t>(t) % funcs.size()]);
-    ts.push_back(t);
-  }
-  std::vector<Time> out(ts.size());
-  pool.arrival_ptn(entries.data(), ts.data(), ts.size(), out.data());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    ASSERT_EQ(out[i], pool.arrival_entry(entries[i], ts[i])) << "t=" << ts[i];
-  }
-}
-
 // The per-network index knob: any density / min-indexed configuration must
 // evaluate bit-identically — only memory changes (and monotonically).
 TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {

@@ -65,10 +65,9 @@ TEST(Heap, ClearResetsMembership) {
   EXPECT_EQ(h.top_key(), 9);
 }
 
-template <unsigned Arity>
-void randomized_against_std(std::uint64_t seed) {
-  Rng rng(seed);
-  DAryHeap<std::uint64_t, Arity> h(512);
+TEST(Heap, RandomizedBinary) {
+  Rng rng(42);
+  BinaryHeap<std::uint64_t> h(512);
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                       std::greater<>>
       ref;
@@ -95,9 +94,6 @@ void randomized_against_std(std::uint64_t seed) {
     }
   }
 }
-
-TEST(Heap, RandomizedBinary) { randomized_against_std<2>(42); }
-TEST(Heap, RandomizedQuaternary) { randomized_against_std<4>(43); }
 
 TEST(EpochArray, DefaultsAndClear) {
   EpochArray<int> a(4, -1);
