@@ -10,7 +10,8 @@
 // --overlay adds the thread-scaling table (the paper's Table 1 shape) for
 // BOTH flat and overlay-routed SPCS at each scale, so one artifact shows
 // how the paper's parallelization and the contraction overlay compose as
-// networks grow.
+// networks grow. Each row also splits the flat query into its phases: the
+// slowest and fastest thread's search and the merge after the join.
 #include <cstring>
 #include <iostream>
 
@@ -72,14 +73,23 @@ void run_scale(gen::Preset preset, double s, bool overlay) {
     OneToAllResult buf;
     flat.one_to_all_into(sources[0], buf);  // warm-up
     over.one_to_all_into(sources[0], buf);
+    double max_thr = 0.0, min_thr = 0.0, merge = 0.0;
     Timer tf;
-    for (StationId src : sources) flat.one_to_all_into(src, buf);
+    for (StationId src : sources) {
+      flat.one_to_all_into(src, buf);
+      max_thr += buf.max_thread_ms;
+      min_thr += buf.min_thread_ms;
+      merge += buf.merge_ms;
+    }
     const double flat_ms = tf.elapsed_ms() / queries;
     Timer to;
     for (StationId src : sources) over.one_to_all_into(src, buf);
     const double over_ms = to.elapsed_ms() / queries;
     std::cout << "      p=" << threads << ": flat SPCS " << fixed(flat_ms, 1)
-              << " ms | overlay SPCS " << fixed(over_ms, 1) << " ms | spd-up "
+              << " ms (max/min thread " << fixed(max_thr / queries, 1) << "/"
+              << fixed(min_thr / queries, 1) << ", merge "
+              << fixed(merge / queries, 2) << ") | overlay SPCS "
+              << fixed(over_ms, 1) << " ms | spd-up "
               << fixed(flat_ms / over_ms, 2) << "x\n";
   }
 }

@@ -4,9 +4,10 @@
 //
 // Reported per network and row: settled connections (summed over threads;
 // for LC the sum of label sizes taken from the queue, as in the paper),
-// average query time, speed-up over the single-core CS run, and queue
+// average query time, speed-up over the single-core CS run, queue
 // operations (backing the paper's Section 5.1 observation that LC needs
-// fewer queue operations yet loses overall).
+// fewer queue operations yet loses overall), and the CS query's phases:
+// the slowest and fastest thread's search and the merge after the join.
 #include <iostream>
 
 #include "algo/lc_profile.hpp"
@@ -28,7 +29,7 @@ void run_network(gen::Preset preset) {
   std::vector<StationId> sources = random_stations(net.tt, queries, 12345);
 
   TablePrinter table({"algo", "p", "settled conns", "time [ms]", "spd-up",
-                      "queue ops"});
+                      "queue ops", "max/min thr [ms]", "merge [ms]"});
 
   double base_ms = 0.0;
   for (unsigned p : {1u, 2u, 4u, 8u}) {
@@ -40,16 +41,24 @@ void run_network(gen::Preset preset) {
     QuerySessionT<Queue> session(net.tt, net.graph, opt);
     session.one_to_all(sources.front());
     QueryStats total;
+    double max_thr = 0.0, min_thr = 0.0, merge = 0.0;
     Timer timer;
     for (StationId s : sources) {
-      total += session.one_to_all(s).stats;
+      const OneToAllResult& r = session.one_to_all(s);
+      total += r.stats;
+      max_thr += r.max_thread_ms;
+      min_thr += r.min_thread_ms;
+      merge += r.merge_ms;
     }
     double avg_ms = timer.elapsed_ms() / queries;
     if (p == 1) base_ms = avg_ms;
     table.add_row({"CS", std::to_string(p),
                    format_count(total.settled / queries), fixed(avg_ms, 1),
                    fixed(base_ms / avg_ms, 1),
-                   format_count(total.queue_ops() / queries)});
+                   format_count(total.queue_ops() / queries),
+                   fixed(max_thr / queries, 1) + "/" +
+                       fixed(min_thr / queries, 1),
+                   fixed(merge / queries, 2)});
   }
 
   {
@@ -63,7 +72,7 @@ void run_network(gen::Preset preset) {
     double avg_ms = timer.elapsed_ms() / lc_queries;
     table.add_row({"LC", "1", format_count(total.label_points / lc_queries),
                    fixed(avg_ms, 1), fixed(base_ms / avg_ms, 1),
-                   format_count(total.queue_ops() / lc_queries)});
+                   format_count(total.queue_ops() / lc_queries), "-", "-"});
   }
 
   table.print();

@@ -26,6 +26,7 @@ void AllToOneProfilesT<Queue>::all_to_one_into(StationId target,
   out.stats = reversed.stats;
   out.max_thread_ms = reversed.max_thread_ms;
   out.min_thread_ms = reversed.min_thread_ms;
+  out.merge_ms = reversed.merge_ms;
   out.profiles.resize(reversed.profiles.size());
   for (StationId s = 0; s < reversed.profiles.size(); ++s) {
     Profile& fwd = fwd_scratch_;

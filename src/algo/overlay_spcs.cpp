@@ -47,7 +47,8 @@ OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
       states_(make_states<Queue>(workspaces_, pool_)),
-      thread_ms_(opt.threads, 0.0) {
+      thread_ms_(opt.threads, 0.0),
+      raw_scratch_(opt.threads) {
   // Same loud dataset-mismatch rejection as the other overlay engines
   // (overlay_query.cpp): a stale cached overlay bound to a regenerated
   // dataset must fail in Release builds too.
@@ -77,26 +78,13 @@ void OverlayParallelSpcsT<Queue>::run_partitioned(StationId s, RangeFn fn) {
 }
 
 template <typename Queue>
-void OverlayParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
-                                                         Profile& raw) const {
-  auto conns = tt_.outgoing(s);
-  raw.clear();
-  raw.reserve(conns.size());
-  for (std::size_t th = 0; th < states_.size(); ++th) {
-    const std::uint32_t lo = boundaries_[th], hi = boundaries_[th + 1];
-    for (std::uint32_t li = 0; li + lo < hi; ++li) {
-      raw.push_back({conns[lo + li].dep, states_[th].arrival(vn, li)});
-    }
-  }
-}
-
-template <typename Queue>
 void OverlayParallelSpcsT<Queue>::assemble_profile_into(StationId s,
                                                         StationId t,
                                                         Profile& out) {
   // Stations are core: the ascent labels are final without any sweep.
-  collect_raw_profile_at(s, ov_.station_node(t), raw_scratch_);
-  reduce_profile_into(raw_scratch_, tt_.period(), out);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s),
+                         ov_.station_node(t), raw_scratch_[0]);
+  reduce_profile_into(raw_scratch_[0], tt_.period(), out);
 }
 
 template <typename Queue>
@@ -112,8 +100,9 @@ void OverlayParallelSpcsT<Queue>::node_profile_into(StationId s, NodeId v,
                                                     Profile& out) {
   assert((swept_ || ov_.is_core(v)) &&
          "contracted nodes need settle_contracted() first");
-  collect_raw_profile_at(s, v, raw_scratch_);
-  reduce_profile_into(raw_scratch_, tt_.period(), out);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s), v,
+                         raw_scratch_[0]);
+  reduce_profile_into(raw_scratch_[0], tt_.period(), out);
 }
 
 template <typename Queue>
@@ -164,14 +153,13 @@ void OverlayParallelSpcsT<Queue>::one_to_all_into(StationId s,
   full_run_ = true;
 
   // Phase 3 (phase 2, the down-sweep, is the caller's opt-in
-  // settle_contracted): merge + connection reduction by the master thread,
-  // allocation-free when warm, exactly like the flat driver.
+  // settle_contracted): the flat driver's striped merge + connection
+  // reduction.
   Timer merge_t;
-  out.profiles.resize(tt_.num_stations());
-  for (StationId v = 0; v < tt_.num_stations(); ++v) {
-    assemble_profile_into(s, v, out.profiles[v]);
-  }
+  merge_station_profiles(pool_, states_, boundaries_, tt_, g_, s, raw_scratch_,
+                         out.profiles);
   merge_ms_ = merge_t.elapsed_ms();
+  out.merge_ms = merge_ms_;
 
   ascent_ms_ = 0.0;
   for (std::size_t t = 0; t < states_.size(); ++t) {
@@ -242,10 +230,7 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
   // W connection lanes are one contiguous row, so the sweep extends the
   // matrix in place — the multi-query engine's transposed-copy step
   // (multi_query.cpp settle_contracted_batch) disappears entirely.
-  EpochArray<Time>& arr = st.label_matrix();
-  Time* const __restrict vals = arr.values_data();
-  std::uint32_t* const __restrict eps = arr.epochs_data();
-  const std::uint32_t ep = arr.epoch();
+  SpcsLabelMatrix& arr = st.label_matrix();
 
   SweepScratch& sc = *sweep_[th];
   sc.raw.resize(W);
@@ -270,15 +255,16 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
     const NodeId v = ov_.down_node(i);
     for (std::size_t j = 0; j < W; ++j) best[j] = kInfTime;
     for (std::uint32_t e = ov_.down_begin(i); e < ov_.down_end(i); ++e) {
-      const NodeId tail = ov_.down_tail(e);
-      const std::size_t base = static_cast<std::size_t>(tail) * W;
+      // A tail row this query never wrote has no live lane.
+      const Time* const __restrict tail_row = arr.row(ov_.down_tail(e));
+      if (tail_row == nullptr) continue;
       // Pass 1 (fused): per-lane relax accounting (a lane relaxes the edge
       // iff its tail label is finite — the flat sweep protocol) and the
       // clamped entry times the kernel's signed-lane contract needs. A
-      // label can be epoch-stamped yet infinite (self-pruned): dead too.
+      // lane can be settled yet infinite (self-pruned): dead too.
       std::uint32_t cnt = 0;
       for (std::size_t j = 0; j < W; ++j) {
-        const Time t0 = eps[base + j] == ep ? vals[base + j] : kInfTime;
+        const Time t0 = SpcsLabelMatrix::arrival_of(tail_row[j]);
         const std::uint32_t live = t0 != kInfTime;
         raw[j] = t0;
         rcnt[j] += live;
@@ -309,14 +295,17 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
     }
     // Fold, don't overwrite: the ascent can settle contracted nodes on its
     // way up (sources are contracted), and those labels are achievable
-    // arrivals the sweep must not discard.
-    const std::size_t base_v = static_cast<std::size_t>(v) * W;
+    // arrivals the sweep must not discard. The row is opened at its first
+    // finite write-back.
+    const Time* const row_v = arr.row(v);
+    Time* out_row = nullptr;
     for (std::size_t j = 0; j < W; ++j) {
-      const Time a = eps[base_v + j] == ep ? vals[base_v + j] : kInfTime;
+      const Time a =
+          row_v == nullptr ? kInfTime : SpcsLabelMatrix::arrival_of(row_v[j]);
       const Time m = best[j] < a ? best[j] : a;
       if (m != kInfTime) {
-        vals[base_v + j] = m;
-        eps[base_v + j] = ep;
+        if (out_row == nullptr) out_row = arr.open_row(v);
+        out_row[j] = m;
       }
     }
   }

@@ -123,7 +123,7 @@ class OverlayParallelSpcsT {
   QueryStats accumulated_stats() const;
 
   /// Per-phase wall clocks of the last one_to_all (+ sweep): the slowest
-  /// thread's ascent, the sweep, and the master-thread merge/reduction.
+  /// thread's ascent, the sweep, and the striped merge/reduction.
   double ascent_ms() const { return ascent_ms_; }
   double sweep_ms() const { return sweep_ms_; }
   double merge_ms() const { return merge_ms_; }
@@ -148,8 +148,6 @@ class OverlayParallelSpcsT {
 
   /// The down-sweep of one thread's partition (body of settle_contracted).
   void sweep_partition(std::size_t th);
-  /// Raw (unreduced) per-connection arrivals at node `vn`, partition order.
-  void collect_raw_profile_at(StationId s, NodeId vn, Profile& raw) const;
 
   const Timetable& tt_;
   const TdGraph& g_;
@@ -161,7 +159,7 @@ class OverlayParallelSpcsT {
   std::vector<std::unique_ptr<SweepScratch>> sweep_;
   std::vector<std::uint32_t> boundaries_;
   std::vector<double> thread_ms_;
-  Profile raw_scratch_;
+  std::vector<Profile> raw_scratch_;  // merge scratch, one per pool thread
   double ascent_ms_ = 0.0, sweep_ms_ = 0.0, merge_ms_ = 0.0;
   bool full_run_ = false;  // last run had no target (sweep legality)
   bool swept_ = false;     // sweep done for the last run

@@ -43,7 +43,8 @@ ParallelSpcsT<Queue>::ParallelSpcsT(const Timetable& tt, const TdGraph& g,
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
       states_(make_states<Queue>(workspaces_, pool_)),
-      thread_ms_(opt.threads, 0.0) {}
+      thread_ms_(opt.threads, 0.0),
+      raw_scratch_(opt.threads) {}
 
 template <typename Queue>
 ParallelSpcsT<Queue>::~ParallelSpcsT() = default;
@@ -57,44 +58,33 @@ void ParallelSpcsT<Queue>::run_partitioned(StationId s, RangeFn fn) {
 }
 
 template <typename Queue>
-void ParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
-                                                  Profile& raw) const {
-  auto conns = tt_.outgoing(s);
-  raw.clear();
-  raw.reserve(conns.size());
-  for (std::size_t th = 0; th < states_.size(); ++th) {
-    const std::uint32_t lo = boundaries_[th], hi = boundaries_[th + 1];
-    for (std::uint32_t li = 0; li + lo < hi; ++li) {
-      raw.push_back({conns[lo + li].dep, states_[th].arrival(vn, li)});
-    }
-  }
-}
-
-template <typename Queue>
 void ParallelSpcsT<Queue>::assemble_profile_into(StationId s, StationId t,
                                                  Profile& out) {
-  collect_raw_profile_at(s, g_.station_node(t), raw_scratch_);
-  reduce_profile_into(raw_scratch_, tt_.period(), out);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s),
+                         g_.station_node(t), raw_scratch_[0]);
+  reduce_profile_into(raw_scratch_[0], tt_.period(), out);
 }
 
 template <typename Queue>
 Profile ParallelSpcsT<Queue>::assemble_profile(StationId s, StationId t) const {
   Profile raw;
-  collect_raw_profile_at(s, g_.station_node(t), raw);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s),
+                         g_.station_node(t), raw);
   return reduce_profile(raw, tt_.period());
 }
 
 template <typename Queue>
 void ParallelSpcsT<Queue>::node_profile_into(StationId s, NodeId v,
                                              Profile& out) {
-  collect_raw_profile_at(s, v, raw_scratch_);
-  reduce_profile_into(raw_scratch_, tt_.period(), out);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s), v,
+                         raw_scratch_[0]);
+  reduce_profile_into(raw_scratch_[0], tt_.period(), out);
 }
 
 template <typename Queue>
 Profile ParallelSpcsT<Queue>::node_profile(StationId s, NodeId v) const {
   Profile raw;
-  collect_raw_profile_at(s, v, raw);
+  collect_raw_profile_at(states_, boundaries_, tt_.outgoing(s), v, raw);
   return reduce_profile(raw, tt_.period());
 }
 
@@ -124,13 +114,12 @@ void ParallelSpcsT<Queue>::one_to_all_into(StationId s, OneToAllResult& out) {
     thread_ms_[t] = timer.elapsed_ms();
   });
 
-  // Merge + connection reduction by the master thread (paper Section 3.2).
-  // resize keeps each station's Profile object — and its capacity — alive
-  // across queries, so a warm session's merge is allocation-free.
-  out.profiles.resize(tt_.num_stations());
-  for (StationId v = 0; v < tt_.num_stations(); ++v) {
-    assemble_profile_into(s, v, out.profiles[v]);
-  }
+  // Merge + connection reduction (paper Section 3.2), striped over the
+  // pool (header note).
+  Timer merge;
+  merge_station_profiles(pool_, states_, boundaries_, tt_, g_, s,
+                         raw_scratch_, out.profiles);
+  out.merge_ms = merge.elapsed_ms();
 
   for (std::size_t t = 0; t < states_.size(); ++t) {
     out.stats += states_[t].stats();

@@ -6,9 +6,18 @@
 // across ranges — exactly the paper's design — so the merged label vector
 // need not be FIFO and the final profiles are obtained with the connection
 // reduction.
+//
+// Departure from the paper: its master thread merges and reduces every
+// station's profile alone after the join. Here the merge runs in a second
+// fork-join over the same pool, one contiguous stripe of stations per
+// thread (merge_station_profiles). Each station's profile is still built
+// from the same raw labels in the same partition order, so the results are
+// identical; only the serial tail of the query shrinks.
 #pragma once
 
+#include <cassert>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "algo/counters.hpp"
@@ -38,15 +47,65 @@ struct OneToAllResult {
   std::vector<Profile> profiles;
   /// Work summed over threads; time_ms is the wall clock of the whole query.
   QueryStats stats;
-  /// Wall clock of the slowest / fastest thread (balance reporting).
+  /// Wall clock of the slowest / fastest thread's search (balance
+  /// reporting) and of the merge + reduction that follows the join.
   double max_thread_ms = 0.0;
   double min_thread_ms = 0.0;
+  double merge_ms = 0.0;
 };
 
 struct StationQueryResult {
   Profile profile;  // reduced dist(S, T, ·)
   QueryStats stats;
 };
+
+/// The merge step both one-to-all drivers (this one and overlay_spcs.hpp)
+/// share: raw (unreduced) per-connection arrivals at node `vn` from the
+/// per-thread label matrices of the last partitioned run over `conns`, in
+/// partition order.
+template <typename Queue>
+void collect_raw_profile_at(const std::vector<SpcsThreadStateT<Queue>>& states,
+                            const std::vector<std::uint32_t>& boundaries,
+                            std::span<const Connection> conns, NodeId vn,
+                            Profile& raw) {
+  raw.clear();
+  raw.reserve(conns.size());
+  for (std::size_t th = 0; th < states.size(); ++th) {
+    const std::uint32_t lo = boundaries[th], hi = boundaries[th + 1];
+    for (std::uint32_t li = 0; li + lo < hi; ++li) {
+      raw.push_back({conns[lo + li].dep, states[th].arrival(vn, li)});
+    }
+  }
+}
+
+/// Merge + connection reduction of every station's profile after the last
+/// partitioned run from `s`: one contiguous stripe of stations per pool
+/// thread, each collecting through its own buffer raw[t] (raw holds one
+/// per pool thread; capacities persist, so a warm merge is allocation-free).
+/// `out` is resized to the station count.
+template <typename Queue>
+void merge_station_profiles(ThreadPool& pool,
+                            const std::vector<SpcsThreadStateT<Queue>>& states,
+                            const std::vector<std::uint32_t>& boundaries,
+                            const Timetable& tt, const TdGraph& g, StationId s,
+                            std::vector<Profile>& raw,
+                            std::vector<Profile>& out) {
+  const std::size_t n = tt.num_stations();
+  const std::size_t p = pool.num_threads();
+  assert(raw.size() >= p);
+  // resize keeps each station's Profile object — and its capacity — alive
+  // across queries, so a warm session's merge is allocation-free.
+  out.resize(n);
+  pool.run([&](std::size_t t) {
+    const auto lo = static_cast<StationId>(n * t / p);
+    const auto hi = static_cast<StationId>(n * (t + 1) / p);
+    for (StationId v = lo; v < hi; ++v) {
+      collect_raw_profile_at(states, boundaries, tt.outgoing(s),
+                             g.station_node(v), raw[t]);
+      reduce_profile_into(raw[t], tt.period(), out[v]);
+    }
+  });
+}
 
 /// Template over the queue policy of the per-thread SPCS states
 /// (queue_policy.hpp). Definitions live in parallel_spcs.cpp, which
@@ -101,7 +160,8 @@ class ParallelSpcsT {
   /// labels of the last run from source `s` (shared by one_to_all and the
   /// s2s engines).
   Profile assemble_profile(StationId s, StationId t) const;
-  /// Allocation-free variant: reuses `out` and an internal raw buffer.
+  /// Allocation-free variant: reuses `out` and an internal raw buffer
+  /// (master thread only).
   void assemble_profile_into(StationId s, StationId t, Profile& out);
 
   /// Reduced profile dist(S, v, ·) at ANY graph node of the last full run
@@ -115,10 +175,6 @@ class ParallelSpcsT {
   std::size_t scratch_bytes_reserved() const;
 
  private:
-  /// The shared merge loop of the assemble/node_profile variants: raw
-  /// (unreduced) per-connection arrivals at node `vn`, in partition order.
-  void collect_raw_profile_at(StationId s, NodeId vn, Profile& raw) const;
-
   const Timetable& tt_;
   const TdGraph& g_;
   ParallelSpcsOptions opt_;
@@ -129,8 +185,8 @@ class ParallelSpcsT {
   std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
   std::vector<SpcsThreadStateT<Queue>> states_;
   std::vector<std::uint32_t> boundaries_;
-  std::vector<double> thread_ms_;  // per-query scratch (one_to_all)
-  Profile raw_scratch_;            // assemble_profile_into scratch
+  std::vector<double> thread_ms_;     // per-query scratch (one_to_all)
+  std::vector<Profile> raw_scratch_;  // merge scratch, one per pool thread
 };
 
 using ParallelSpcs = ParallelSpcsT<>;

@@ -17,14 +17,15 @@
 // The priority queue is a compile-time policy (queue_policy.hpp): the
 // paper's binary heap or the two-level monotone bucket queue, which is the
 // served default. The bucket queue is not addressable: it pushes one entry
-// per improvement, and the settled matrix arr_ already identifies outdated
-// entries at pop time (arr_.touched), so stale pops are dropped without
+// per improvement, and the label matrix already identifies outdated
+// entries at pop time (a settled slot), so stale pops are dropped without
 // any per-item bookkeeping. Both policies settle the same items with the
 // same keys and produce identical profiles (tests/queue_policy_test.cpp
 // proves this differentially); only pushed/decreased/stale_popped counts
 // differ.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -38,6 +39,7 @@
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
 #include "util/epoch_array.hpp"
+#include "util/prefetch.hpp"
 
 namespace pconn {
 
@@ -84,6 +86,104 @@ struct NoHook {
   }
 };
 
+/// The SPCS label matrix arr(v, li) of one thread: node-major rows of W
+/// 4-byte arrivals (slot v * W + li) with ONE epoch stamp per node row.
+/// A query's first write to a row fills it with kUnreached and stamps it,
+/// so clearing stays O(1) per query while the matrix costs 4 B per slot
+/// instead of a per-slot value + stamp pair. A slot is settled iff its row
+/// is stamped and its value is not kUnreached; self-pruned slots hold
+/// kInfTime. Real arrivals stay below kUnreached (asserted at settle).
+class SpcsLabelMatrix {
+ public:
+  /// Value of a slot no settle has written in a stamped row.
+  static constexpr Time kUnreached = kInfTime - 1;
+
+  explicit SpcsLabelMatrix(ScratchAlloc alloc)
+      : vals_(ArenaAllocator<Time>(alloc)),
+        row_epoch_(ArenaAllocator<std::uint32_t>(alloc)) {}
+
+  /// Sizes the matrix to `rows` x `width` and logically clears every row.
+  void reset(std::size_t rows, std::uint32_t width) {
+    width_ = width;
+    const std::size_t slots = rows * width;
+    if (slots > vals_.capacity()) {
+      // A matrix of Arena::kDedicatedBytes or more is a block of its own
+      // that deallocation frees, so it grows exactly and gives the old
+      // storage back first. Below that size outgrown storage stays in the
+      // arena, so capacity doubles: what it strands sums to less than
+      // kDedicatedBytes.
+      constexpr std::size_t kDedicated = Arena::kDedicatedBytes / sizeof(Time);
+      const std::size_t cap =
+          slots >= kDedicated
+              ? slots
+              : std::min(std::max(slots, 2 * vals_.capacity()), kDedicated);
+      vals_ = Values(vals_.get_allocator());
+      vals_.reserve(cap);
+    }
+    if (slots > vals_.size()) vals_.resize(slots, kUnreached);
+    if (rows > row_epoch_.size()) {
+      row_epoch_.assign(rows, 0);
+      epoch_ = 1;
+    } else if (++epoch_ == 0) {  // wrapped: physically reset once per 2^32
+      std::fill(row_epoch_.begin(), row_epoch_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  std::uint32_t width() const { return width_; }
+
+  /// Row v if this query has written it, else nullptr (every lane
+  /// unreached).
+  const Time* row(NodeId v) const {
+    return row_epoch_[v] == epoch_ ? row_data(v) : nullptr;
+  }
+  /// Row v for writing; the first call per query fills it with kUnreached.
+  Time* open_row(NodeId v) {
+    Time* r = row_data(v);
+    if (row_epoch_[v] != epoch_) {
+      std::fill_n(r, width_, kUnreached);
+      row_epoch_[v] = epoch_;
+    }
+    return r;
+  }
+
+  /// Whether (v, li) settled this query (slot = v * width() + li).
+  bool settled(NodeId v, std::size_t slot) const {
+    return row_epoch_[v] == epoch_ && vals_[slot] != kUnreached;
+  }
+  /// The arrival label: the settled arrival, or kInfTime when unreached or
+  /// pruned.
+  Time arrival(NodeId v, std::uint32_t li) const {
+    const Time* r = row(v);
+    return r == nullptr ? kInfTime : arrival_of(r[li]);
+  }
+  /// A row value read as an arrival (kUnreached -> kInfTime).
+  static Time arrival_of(Time value) {
+    return value == kUnreached ? kInfTime : value;
+  }
+
+  /// Prefetch hint for slot (v, li) (relax-loop lookahead).
+  void prefetch(NodeId v, std::size_t slot) const {
+    pconn::prefetch(row_epoch_.data() + v);
+    pconn::prefetch(vals_.data() + slot);
+  }
+
+ private:
+  using Values = std::vector<Time, ArenaAllocator<Time>>;
+
+  Time* row_data(NodeId v) {
+    return vals_.data() + static_cast<std::size_t>(v) * width_;
+  }
+  const Time* row_data(NodeId v) const {
+    return vals_.data() + static_cast<std::size_t>(v) * width_;
+  }
+
+  Values vals_;
+  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> row_epoch_;
+  std::uint32_t epoch_ = 1;
+  std::uint32_t width_ = 0;
+};
+
 template <typename Queue = SpcsBucketQueue>
 class SpcsThreadStateT {
  public:
@@ -110,19 +210,18 @@ class SpcsThreadStateT {
   /// Arrival label arr(v, i) for the local connection index i in [0, width):
   /// the settled arrival time, or kInfTime when unreached or pruned.
   Time arrival(NodeId v, std::uint32_t local) const {
-    return arr_.get(static_cast<std::size_t>(v) * width_ + local);
+    return arr_.arrival(v, local);
   }
 
-  std::uint32_t width() const { return width_; }
+  std::uint32_t width() const { return arr_.width(); }
   const QueryStats& stats() const { return stats_; }
 
-  /// The (node x width) label matrix itself — slot v * width() + li, valid
-  /// iff stamped with the current epoch. The rows are already node-major,
-  /// which is exactly the surface the overlay driver's batched down-sweep
-  /// wants: it extends the matrix in place (algo/overlay_spcs.cpp) and
-  /// adds the sweep's per-lane relax accounting through stats_mutable().
-  EpochArray<Time>& label_matrix() { return arr_; }
-  const EpochArray<Time>& label_matrix() const { return arr_; }
+  /// The (node x width) label matrix itself. Its rows are node-major, which
+  /// is exactly the surface the overlay driver's batched down-sweep wants:
+  /// it extends the matrix in place (algo/overlay_spcs.cpp) and adds the
+  /// sweep's per-lane relax accounting through stats_mutable().
+  SpcsLabelMatrix& label_matrix() { return arr_; }
+  const SpcsLabelMatrix& label_matrix() const { return arr_; }
   QueryStats& stats_mutable() { return stats_; }
 
   /// Runs SPCS for connections [lo, hi) of `conns` (= conn(S), sorted by
@@ -149,42 +248,24 @@ class SpcsThreadStateT {
               std::uint32_t hi, StationId target, const SpcsOptions& opt,
               Hook& hook) {
     assert(lo <= hi && hi <= conns.size());
-    stats_ = QueryStats{};
     const std::uint32_t W = hi - lo;
-    width_ = W;
     const std::size_t slots = static_cast<std::size_t>(g.num_nodes()) * W;
-    if (heap_.capacity() < slots) heap_.reset_capacity(slots);
-    batch_.reserve(g.max_out_degree());
-    arr_.ensure_and_clear(slots, kInfTime);
-    if (opt.self_pruning) maxconn_.ensure_and_clear(g.num_nodes(), -1);
+    assert(slots <= std::numeric_limits<std::uint32_t>::max());
+    assert(W < (1u << kKeyShift));
+    start(flat, tt, conns.subspan(lo, W), g.num_nodes(), g.max_out_degree(),
+          opt.self_pruning);
     if constexpr (Hook::kWantsAncestors) {
       anc_.ensure_and_clear(slots, 0);
-      noanc_.assign(W, 0);
+      noanc_.assign(W, 1);  // each connection's initial push has no ancestor
       // Without an addressable queue, ancestor accounting needs to know
       // whether a push improves the item's best queued key; track it here.
       if constexpr (!Queue::kAddressable) {
         best_.ensure_and_clear(slots, kInfKey);
       }
     }
-    done_.assign(W, 0);
 
     const NodeId target_node =
         target == kInvalidStation ? kInvalidNode : g.station_node(target);
-
-    assert(slots <= std::numeric_limits<std::uint32_t>::max());
-    assert(W < (1u << kKeyShift));
-    const auto make_key = [W](Time arr, std::uint32_t li) {
-      return (static_cast<std::uint64_t>(arr) << kKeyShift) | (W - 1 - li);
-    };
-    for (std::uint32_t li = 0; li < W; ++li) {
-      const Connection& c = conns[lo + li];
-      NodeId r = flat.departure_node(tt, c);
-      heap_.push(static_cast<std::uint32_t>(
-                     static_cast<std::uint64_t>(r) * W + li),
-                 make_key(c.dep, li));
-      stats_.pushed++;
-      if constexpr (Hook::kWantsAncestors) noanc_[li]++;
-    }
 
     std::int64_t tm = -1;  // stopping criterion: max conn index settled at T
     const std::uint32_t batch_from =
@@ -192,17 +273,18 @@ class SpcsThreadStateT {
 
     while (!heap_.empty()) {
       auto [id, packed] = heap_.pop();
+      const NodeId v = static_cast<NodeId>(id / W);
       if constexpr (!Queue::kAddressable) {
         // Lazy deletion: (v, li) settles on its first (minimum-key) pop;
         // later entries for the same id are outdated duplicates.
-        if (arr_.touched(id)) {
+        if (arr_.settled(v, id)) {
           stats_.stale_popped++;
           continue;
         }
       }
       const Time key = static_cast<Time>(packed >> kKeyShift);
-      const NodeId v = static_cast<NodeId>(id / W);
       const std::uint32_t li = static_cast<std::uint32_t>(id % W);
+      assert(key < SpcsLabelMatrix::kUnreached);
       stats_.settled++;
 
       bool had_anc = true;
@@ -211,23 +293,24 @@ class SpcsThreadStateT {
         if (!had_anc) noanc_[li]--;
       }
 
-      arr_.set(id, key);  // marks (v, li) settled
+      Time& label = arr_.open_row(v)[li];
+      label = key;  // marks (v, li) settled
 
       if (done_[li]) {  // connection finished by target pruning
         stats_.table_pruned++;
-        arr_.set(id, kInfTime);
+        label = kInfTime;
         continue;
       }
       if (target_node != kInvalidNode && opt.stopping_criterion &&
           static_cast<std::int64_t>(li) <= tm) {
         stats_.stop_pruned++;
-        arr_.set(id, kInfTime);
+        label = kInfTime;
         continue;
       }
       if (opt.self_pruning) {
         if (static_cast<std::int32_t>(li) <= maxconn_.get(v)) {
           stats_.self_pruned++;
-          arr_.set(id, kInfTime);
+          label = kInfTime;
           continue;
         }
         maxconn_.set(v, static_cast<std::int32_t>(li));
@@ -276,7 +359,7 @@ class SpcsThreadStateT {
       // order, so per-policy queue contents evolve identically.
       const auto commit = [&](std::uint32_t wid, Time t) {
         stats_.relaxed++;
-        const std::uint64_t new_key = make_key(t, li);
+        const std::uint64_t new_key = make_key(t, li, W);
         bool improved = true;
         bool contained = false;
         if constexpr (Queue::kAddressable) {
@@ -329,7 +412,7 @@ class SpcsThreadStateT {
       // Settled / relax-time self-pruning pre-tests on a streamed head;
       // returns false when the edge is discarded before evaluation.
       const auto survives = [&](NodeId head, std::uint32_t wid) {
-        if (arr_.touched(wid)) return false;  // already settled for li
+        if (arr_.settled(head, wid)) return false;  // already settled for li
         if (opt.self_pruning && opt.prune_on_relax &&
             static_cast<std::int32_t>(li) <= maxconn_.get(head)) {
           stats_.relax_pruned++;
@@ -342,7 +425,8 @@ class SpcsThreadStateT {
         batch_.clear();
         for (std::uint32_t ei = eb; ei < ee; ++ei) {
           if (ei + 1 < ee) {
-            arr_.prefetch(static_cast<std::size_t>(heads[ei + 1]) * W + li);
+            arr_.prefetch(heads[ei + 1],
+                          static_cast<std::size_t>(heads[ei + 1]) * W + li);
           }
           const NodeId head = heads[ei];
           const std::uint32_t wid = static_cast<std::uint32_t>(
@@ -358,7 +442,8 @@ class SpcsThreadStateT {
       } else {
         for (std::uint32_t ei = eb; ei < ee; ++ei) {
           if (ei + 1 < ee) {
-            arr_.prefetch(static_cast<std::size_t>(heads[ei + 1]) * W + li);
+            arr_.prefetch(heads[ei + 1],
+                          static_cast<std::size_t>(heads[ei + 1]) * W + li);
             g.prefetch_edge_ttf(ei + 1);
           }
           const NodeId head = heads[ei];
@@ -377,11 +462,42 @@ class SpcsThreadStateT {
   static constexpr std::uint64_t kInfKey =
       std::numeric_limits<std::uint64_t>::max();
 
+  /// The composite queue key of kKeyShift for local connection li of W.
+  static std::uint64_t make_key(Time arr, std::uint32_t li, std::uint32_t W) {
+    return (static_cast<std::uint64_t>(arr) << kKeyShift) | (W - 1 - li);
+  }
+
+  /// Per-query setup of run_on: sizes and clears the scratch every run
+  /// needs and pushes each connection of `conns` at its departure route
+  /// node. Out of line because it is cold: GCC then keeps the queue
+  /// operations of run_on's hot loop inlined.
+  [[gnu::noinline]] void start(const TdGraph& flat, const Timetable& tt,
+                               std::span<const Connection> conns,
+                               std::size_t nodes, std::uint32_t max_out_degree,
+                               bool self_pruning) {
+    stats_ = QueryStats{};
+    const auto W = static_cast<std::uint32_t>(conns.size());
+    const std::size_t slots = nodes * W;
+    if (heap_.capacity() < slots) heap_.reset_capacity(slots);
+    batch_.reserve(max_out_degree);
+    arr_.reset(nodes, W);
+    if (self_pruning) maxconn_.ensure_and_clear(nodes, -1);
+    done_.assign(W, 0);
+    for (std::uint32_t li = 0; li < W; ++li) {
+      const Connection& c = conns[li];
+      const NodeId r = flat.departure_node(tt, c);
+      heap_.push(static_cast<std::uint32_t>(
+                     static_cast<std::uint64_t>(r) * W + li),
+                 make_key(c.dep, li, W));
+      stats_.pushed++;
+    }
+  }
+
   // Queue ids address the (node, local connection) lattice: id = v * W + li.
   // Keys are the composite (arrival, reversed connection index) described
   // at kKeyShift.
   Queue heap_;
-  EpochArray<Time> arr_;
+  SpcsLabelMatrix arr_;
   EpochArray<std::int32_t> maxconn_;
   EpochArray<std::uint8_t> anc_;
   EpochArray<std::uint64_t> best_;  // best queued key; non-addressable
@@ -389,7 +505,6 @@ class SpcsThreadStateT {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> noanc_;
   std::vector<std::uint8_t, ArenaAllocator<std::uint8_t>> done_;
   RelaxBatch batch_;  // gather/eval scratch of the batch relax mode
-  std::uint32_t width_ = 0;
   QueryStats stats_;
 };
 

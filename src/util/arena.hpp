@@ -1,4 +1,4 @@
-// Monotone bump arena + std-compatible allocator for per-session scratch.
+// Bump arena + std-compatible allocator for per-session scratch.
 //
 // The query engines keep node-sized scratch arrays (label matrices, parent
 // trees, bucket windows) alive across queries; what varies per query is only
@@ -10,18 +10,26 @@
 // per-thread engine touches one allocation path and repeated queries reuse
 // the same contiguous memory.
 //
-// The arena is *monotone*: allocate() only bumps, deallocate() is a no-op.
-// Containers that regrow leak their old storage inside the arena until
-// reset() — acceptable because scratch containers grow to a high-water mark
-// and then stay. reset() rewinds every block (an epoch reset of the memory
-// itself) and is only meant for recycling a whole session, never between
-// queries of a live session; the per-query "clear" stays with the epoch
-// arrays.
+// Small allocations are *monotone*: allocate() only bumps, deallocate() is
+// a no-op, and a small container that regrows leaks its old storage inside
+// the arena until reset() — acceptable because those containers grow to a
+// high-water mark and then stay. Large allocations (kDedicatedBytes and up:
+// the SPCS label matrices, whose width follows |conn(S)|) get a block of
+// their own, and deallocate() frees it. A regrown label matrix therefore
+// gives its old storage back; with a monotone arena a p=4 profile session
+// warmed in ascending source width held 155.6 MiB of scratch, six times
+// its 26 MiB of high-water label matrices (washington-like). Bump blocks
+// double only up to kDedicatedBytes, so a single large request does not
+// inflate the blocks after it. reset() rewinds every bump block (an epoch
+// reset of the memory itself), frees the dedicated blocks, and is only
+// meant for recycling a whole session, never between queries of a live
+// session; the per-query "clear" stays with the epoch arrays.
 //
 // Arenas are single-threaded by design: one arena per QueryWorkspace, one
 // workspace per thread (docs/architecture.md, "Threading rules").
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -29,6 +37,7 @@
 #include <memory>
 #include <new>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -46,6 +55,9 @@ class Arena {
   /// when the hint is enabled: 2 MiB-aligned storage plus
   /// madvise(MADV_HUGEPAGE). 2 MiB is the x86-64 huge page size.
   static constexpr std::size_t kHugeBlockBytes = std::size_t{2} << 20;
+  /// Allocations at least this large get a block of their own, which
+  /// deallocate() frees (header note).
+  static constexpr std::size_t kDedicatedBytes = std::size_t{1} << 20;
 
   explicit Arena(std::size_t first_block_bytes = kDefaultBlockBytes)
       : next_block_bytes_(first_block_bytes),
@@ -104,16 +116,18 @@ class Arena {
     return on;
   }
 
-  /// Bump-allocates `bytes` aligned to `align` (a power of two).
+  /// Allocates `bytes` aligned to `align` (a power of two): a dedicated
+  /// block from kDedicatedBytes up, else a bump in the current block.
   void* allocate(std::size_t bytes, std::size_t align) {
     assert((align & (align - 1)) == 0);
+    if (bytes >= kDedicatedBytes) return allocate_dedicated(bytes);
+    bytes_used_ += bytes;
+    ++allocation_count_;
     if (!blocks_.empty()) {
       Block& b = blocks_[cur_];
       const std::size_t used = aligned(b.used, align);
       if (used + bytes <= b.size) {
         b.used = used + bytes;
-        bytes_used_ += bytes;
-        ++allocation_count_;
         return b.data.get() + used;
       }
       // Reset-recycled blocks after cur_ may already be large enough.
@@ -121,8 +135,6 @@ class Arena {
         if (bytes <= blocks_[i].size) {
           cur_ = i;
           blocks_[i].used = bytes;
-          bytes_used_ += bytes;
-          ++allocation_count_;
           return blocks_[i].data.get();
         }
       }
@@ -130,26 +142,42 @@ class Arena {
     add_block(bytes);
     blocks_.back().used = bytes;
     cur_ = blocks_.size() - 1;
-    bytes_used_ += bytes;
-    ++allocation_count_;
     return blocks_.back().data.get();
   }
 
-  /// Rewinds every block; all memory handed out so far becomes invalid.
-  /// Session recycling only — live containers must be destroyed or
-  /// re-assigned first.
+  /// Frees the dedicated block of an allocation of `bytes` >=
+  /// kDedicatedBytes at `p`; smaller allocations stay in their bump block
+  /// until reset(). A pointer the arena no longer holds (reset() already
+  /// freed it) is ignored.
+  void deallocate(void* p, std::size_t bytes) noexcept {
+    if (bytes < kDedicatedBytes) return;
+    for (Block& b : dedicated_) {
+      if (b.data.get() != p) continue;
+      bytes_reserved_ -= b.size;
+      bytes_used_ -= bytes;
+      std::swap(b, dedicated_.back());
+      dedicated_.pop_back();
+      return;
+    }
+  }
+
+  /// Rewinds every bump block and frees the dedicated ones; all memory
+  /// handed out so far becomes invalid. Session recycling only — live
+  /// containers must be destroyed or re-assigned first.
   void reset() {
     for (Block& b : blocks_) b.used = 0;
+    for (const Block& b : dedicated_) bytes_reserved_ -= b.size;
+    dedicated_.clear();
     cur_ = 0;
     bytes_used_ = 0;
   }
 
-  /// Bytes currently handed out (monotone within a session; regrown
-  /// containers count both their old and new storage until reset).
+  /// Bytes currently handed out (regrown small containers count both their
+  /// old and new storage until reset; freed dedicated blocks count no more).
   std::size_t bytes_used() const { return bytes_used_; }
   /// Bytes held in blocks (the arena's true footprint).
   std::size_t bytes_reserved() const { return bytes_reserved_; }
-  std::size_t block_count() const { return blocks_.size(); }
+  std::size_t block_count() const { return blocks_.size() + dedicated_.size(); }
   std::size_t allocation_count() const { return allocation_count_; }
 
  private:
@@ -200,36 +228,52 @@ class Arena {
     for (std::size_t off = 0; off < size; off += 4096) p[off] = std::byte{0};
   }
 
-  void add_block(std::size_t min_bytes) {
-    // Geometric growth keeps the block count logarithmic in the high-water
-    // footprint; a single oversized request gets its own exact block.
-    std::size_t size = std::max(min_bytes, next_block_bytes_);
-    next_block_bytes_ = std::max(next_block_bytes_ * 2, size);
+  // The large-allocation and block paths are rare; kept out of line so
+  // that containers' growth paths, which GCC inlines into the engines' hot
+  // loops, do not use up the inliner's budget there.
+  [[gnu::noinline]] void* allocate_dedicated(std::size_t bytes) {
+    dedicated_.push_back(new_block(bytes));
+    bytes_used_ += bytes;
+    ++allocation_count_;
+    return dedicated_.back().data.get();
+  }
+
+  [[gnu::noinline]] void add_block(std::size_t min_bytes) {
+    // Bump blocks double up to kDedicatedBytes, the largest request they
+    // serve; a request above the current block size gets an exact block
+    // without inflating the ones after it.
+    const std::size_t size = std::max(min_bytes, next_block_bytes_);
+    if (next_block_bytes_ < kDedicatedBytes) next_block_bytes_ *= 2;
+    blocks_.push_back(new_block(size));
+  }
+
+  /// A fresh block of at least `size` bytes with the hugepage hint and NUMA
+  /// pinning applied, counted in bytes_reserved().
+  Block new_block(std::size_t size) {
+    std::byte* p = nullptr;
+    BlockDeleter deleter{};
     if (hugepages_ && size >= kHugeBlockBytes) {
       // 2 MiB-aligned storage rounded to whole huge pages, then hint the
       // kernel. The hint is best-effort: madvise failure (THP disabled,
       // old kernel) leaves a perfectly valid ordinary mapping.
       size = aligned(size, kHugeBlockBytes);
-      auto* p = static_cast<std::byte*>(::operator new[](
+      p = static_cast<std::byte*>(::operator new[](
           size, std::align_val_t{kHugeBlockBytes}));
+      deleter.align = kHugeBlockBytes;
 #if defined(__linux__)
       madvise(p, size, MADV_HUGEPAGE);
 #endif
-      blocks_.push_back(Block{
-          std::unique_ptr<std::byte[], BlockDeleter>(
-              p, BlockDeleter{kHugeBlockBytes}),
-          size, 0});
     } else {
-      blocks_.push_back(Block{
-          std::unique_ptr<std::byte[], BlockDeleter>(
-              static_cast<std::byte*>(::operator new[](size)), BlockDeleter{}),
-          size, 0});
+      p = static_cast<std::byte*>(::operator new[](size));
     }
-    pin_block(blocks_.back().data.get(), size);
+    pin_block(p, size);
     bytes_reserved_ += size;
+    return Block{std::unique_ptr<std::byte[], BlockDeleter>(p, deleter), size,
+                 0};
   }
 
-  std::vector<Block> blocks_;
+  std::vector<Block> blocks_;     // bump blocks
+  std::vector<Block> dedicated_;  // one per large allocation
   std::size_t cur_ = 0;  // block currently bumped into
   std::size_t next_block_bytes_;
   std::size_t bytes_used_ = 0;
@@ -241,9 +285,9 @@ class Arena {
 
 /// std-compatible allocator over an Arena. Unbound (nullptr arena — the
 /// default) it degrades to plain new/delete, so every container stays usable
-/// without a workspace; bound, deallocation is a no-op and memory comes from
-/// the arena's blocks. Containers sharing one arena compare equal and can
-/// swap/move storage freely.
+/// without a workspace; bound, memory comes from the arena's blocks and
+/// deallocation frees only dedicated (large) blocks. Containers sharing one
+/// arena compare equal and can swap/move storage freely.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -266,8 +310,8 @@ class ArenaAllocator {
     return static_cast<T*>(::operator new(bytes));
   }
 
-  void deallocate(T* p, std::size_t) noexcept {
-    if (!arena_) ::operator delete(p);
+  void deallocate(T* p, std::size_t n) noexcept {
+    release(arena_, p, n * sizeof(T));
   }
 
   ArenaAllocator select_on_container_copy_construction() const {
@@ -282,6 +326,17 @@ class ArenaAllocator {
   }
 
  private:
+  // One out-of-line call, as small as the plain delete it replaces where
+  // containers inline their growth paths into engine loops.
+  [[gnu::noinline]] static void release(Arena* arena, void* p,
+                                        std::size_t bytes) noexcept {
+    if (arena) {
+      arena->deallocate(p, bytes);
+    } else {
+      ::operator delete(p);
+    }
+  }
+
   Arena* arena_ = nullptr;
 };
 

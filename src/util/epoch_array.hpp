@@ -1,9 +1,10 @@
 // Epoch-versioned flat array: O(1) logical clear.
 //
-// The profile-search workspaces are reused across the thousands of queries a
-// bench run issues; physically zeroing |V| x |conn(S)| label matrices per
-// query would dominate the measurement. An EpochArray keeps a per-slot
-// version stamp and treats stale slots as holding the default value.
+// The query workspaces are reused across the thousands of queries a bench
+// run issues; physically zeroing node- or slot-sized arrays per query would
+// dominate the measurement. An EpochArray keeps a per-slot version stamp
+// and treats stale slots as holding the default value. (The SPCS label
+// matrix stamps whole node rows instead: SpcsLabelMatrix in algo/spcs.hpp.)
 //
 // Storage is allocator-aware: constructed from a workspace's ScratchAlloc,
 // both the value and the stamp array live in the session arena
@@ -72,14 +73,6 @@ class EpochArray {
   const T* values_data() const { return values_.data(); }
   const std::uint32_t* epochs_data() const { return epochs_.data(); }
   std::uint32_t epoch() const { return epoch_; }
-
-  /// Mutable bulk views for in-place sweeps (the overlay SPCS down-sweep
-  /// extends a thread's label matrix row by row): writing values_data()[i]
-  /// must be paired with stamping epochs_data()[i] = epoch(), exactly what
-  /// set() does — these views only exist so a row writer can do it without
-  /// per-slot bounds/epoch re-checks.
-  T* values_data() { return values_.data(); }
-  std::uint32_t* epochs_data() { return epochs_.data(); }
 
   /// Prefetch hint for slot i (relax-loop lookahead): the stamp word
   /// decides touched()/get(), the value line follows on set().

@@ -6,8 +6,11 @@
 //    alloc_guard.hpp, which this TU installs for the whole test binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/contraction.hpp"
 #include "algo/session.hpp"
+#include "gen/generator.hpp"
 #include "graph/station_graph.hpp"
 #include "graph/te_graph.hpp"
 #include "s2s/transfer_selection.hpp"
@@ -125,6 +128,74 @@ TEST(Arena, NumaPinningKeepsAccountingAndMemoryUsable) {
   EXPECT_EQ(off.numa_node(), -1);
   void* p = off.allocate(Arena::kDefaultBlockBytes, 8);
   EXPECT_NE(p, nullptr);
+}
+
+// Large allocations get a dedicated block that deallocation frees, so a
+// regrown label matrix gives its old storage back; small ones still bump.
+TEST(Arena, LargeAllocationsGetDedicatedBlocksThatDeallocateFrees) {
+  Arena a(1024);
+  void* small = a.allocate(512, 8);
+  a.deallocate(small, 512);  // bump allocations stay until reset()
+  const std::size_t bump_reserved = a.bytes_reserved();
+  const std::size_t bump_blocks = a.block_count();
+
+  const std::size_t big = Arena::kDedicatedBytes;
+  auto* p = static_cast<std::byte*>(a.allocate(big, 64));
+  p[0] = std::byte{1};
+  p[big - 1] = std::byte{2};
+  EXPECT_EQ(a.block_count(), bump_blocks + 1);
+  EXPECT_EQ(a.bytes_reserved(), bump_reserved + big);
+  // A small allocation after it still bumps into the existing block.
+  EXPECT_NE(a.allocate(16, 8), nullptr);
+  EXPECT_EQ(a.bytes_reserved(), bump_reserved + big);
+
+  a.deallocate(p, big);
+  EXPECT_EQ(a.bytes_reserved(), bump_reserved);
+  EXPECT_EQ(a.block_count(), bump_blocks);
+
+  // Through the allocator: a vector regrown past the threshold releases
+  // the storage it outgrew.
+  ArenaAllocator<std::uint32_t> alloc(&a);
+  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> v(alloc);
+  const std::size_t n = Arena::kDedicatedBytes / sizeof(std::uint32_t);
+  v.assign(n, 1);
+  const std::size_t one_matrix = a.bytes_reserved();
+  v.assign(2 * n, 2);
+  EXPECT_EQ(a.bytes_reserved(), one_matrix + n * sizeof(std::uint32_t));
+  v = decltype(v)(alloc);
+  EXPECT_EQ(a.bytes_reserved(), bump_reserved);
+  // reset() frees any dedicated block still held.
+  (void)a.allocate(big, 8);
+  a.reset();
+  EXPECT_EQ(a.bytes_reserved(), bump_reserved);
+  EXPECT_EQ(a.bytes_used(), 0u);
+}
+
+// Dedicated blocks keep the placement treatment of large bump blocks: the
+// hugepage hint's 2 MiB alignment and the NUMA pinning pass.
+TEST(Arena, DedicatedBlocksKeepHugepageAlignmentAndNumaPinning) {
+  Arena huge(1024);
+  huge.set_hugepage_hint(true);
+  const std::size_t bytes = 3 * Arena::kHugeBlockBytes / 2;  // 3 MiB
+  auto* p = static_cast<std::byte*>(huge.allocate(bytes, 64));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % Arena::kHugeBlockBytes, 0u);
+  EXPECT_EQ(huge.bytes_reserved() % Arena::kHugeBlockBytes, 0u);
+  p[bytes - 1] = std::byte{1};
+  huge.deallocate(p, bytes);  // freed with the aligned delete
+  EXPECT_EQ(huge.bytes_reserved(), 0u);
+
+  Arena pinned(1024);
+  const int node = Arena::current_numa_node();
+  pinned.set_numa_node(node >= 0 ? node : 0);
+  auto* q = static_cast<std::byte*>(
+      pinned.allocate(Arena::kDedicatedBytes, 64));
+  // The pinning pass first-touched the block; every byte stays usable.
+  q[0] = std::byte{3};
+  q[Arena::kDedicatedBytes - 1] = std::byte{4};
+  EXPECT_EQ(q[Arena::kDedicatedBytes - 1], std::byte{4});
+  EXPECT_EQ(pinned.bytes_reserved(), Arena::kDedicatedBytes);
+  pinned.deallocate(q, Arena::kDedicatedBytes);
+  EXPECT_EQ(pinned.bytes_reserved(), 0u);
 }
 
 // --------------------------------------------------------- differential ---
@@ -415,6 +486,44 @@ TEST(QuerySession, ScratchLivesInArenas) {
   EXPECT_GT(warm, 0u);
   run_mix();
   EXPECT_EQ(session.scratch_bytes_reserved(), warm);
+}
+
+// Memory gate: warming a p=4 session in ascending |conn(S)| order regrows
+// every thread's label matrix at each wider source. Regrown matrices give
+// their old storage back (util/arena.hpp), so the warm session holds about
+// what a fresh session holds after the widest source alone (1.22x here);
+// a monotone arena kept every outgrown matrix (1.79x).
+TEST(QuerySession, AscendingWidthWarmupStaysNearHighWaterScratch) {
+  const Timetable tt =
+      gen::make_preset(gen::Preset::kWashingtonLike, 1.0, 1);
+  TdGraph g = TdGraph::build(tt);
+  std::vector<StationId> by_width(tt.num_stations());
+  for (StationId s = 0; s < tt.num_stations(); ++s) by_width[s] = s;
+  std::stable_sort(by_width.begin(), by_width.end(),
+                   [&](StationId a, StationId b) {
+                     return tt.outgoing(a).size() < tt.outgoing(b).size();
+                   });
+  constexpr std::size_t kSources = 16;
+  std::vector<StationId> sources;
+  for (std::size_t k = 1; k <= kSources; ++k) {
+    sources.push_back(by_width[k * by_width.size() / kSources - 1]);
+  }
+  const StationId widest = sources.back();
+  ASSERT_GT(tt.outgoing(widest).size(), tt.outgoing(sources.front()).size());
+
+  QuerySessionOptions opt;
+  opt.threads = 4;
+  QuerySession warm(tt, g, opt);
+  for (StationId s : sources) warm.one_to_all(s);
+  QuerySession fresh(tt, g, opt);
+  const std::vector<Profile>& want = fresh.one_to_all(widest).profiles;
+
+  EXPECT_EQ(warm.one_to_all(widest).profiles, want);
+  const double ratio = static_cast<double>(warm.scratch_bytes_reserved()) /
+                       static_cast<double>(fresh.scratch_bytes_reserved());
+  EXPECT_LE(ratio, 1.5) << "warm " << warm.scratch_bytes_reserved()
+                         << " B vs fresh " << fresh.scratch_bytes_reserved()
+                         << " B";
 }
 
 }  // namespace
